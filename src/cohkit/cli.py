@@ -72,7 +72,7 @@ def cmd_check(args) -> int:
         print(render(report), end="")
         return 0
     report.add("failing-subfamily", [i + 1 for i in verdict.failing_subfamily])
-    book = dutch_book(assessment, doc.universe)
+    book = dutch_book(assessment, doc.universe, verdict)
     report.add("stakes", list(book.stakes))
     gains = report.section("gains")
     sub = Assessment.build(
@@ -83,7 +83,7 @@ def cmd_check(args) -> int:
     for constituent in table.constituents:
         gains.add(f"C{constituent.index}", random_gain(sub, book.stakes, constituent))
     report.add("margin", book.margin)
-    dominator = brier_dominator(assessment, doc.universe)
+    dominator = brier_dominator(assessment, doc.universe, verdict)
     report.add("brier-dominator", list(dominator))
     print(render(report), end="")
     return 1

@@ -1,12 +1,15 @@
 """Coherence checking, Dutch books, penalty dominance, extension bounds.
 
 An assessment attaches exact rational values to a family of conditional
-events.  Coherence is decided geometrically: for every nonempty
-subfamily, the value vector must lie in the convex hull of the
-subfamily's constituent points, where a constituent contributes the
-member's indicator value and void coordinates carry the assessed value
-itself.  The all-void constituent is excluded throughout (its point is
-the assessment itself).
+events.  Coherence is decided geometrically by Gilio's iteration: the
+value vector of the current subfamily J (at first the whole family) must
+lie in the convex hull of J's constituent points, where a constituent
+contributes the member's indicator value and void coordinates carry the
+assessed value itself.  The members of J whose antecedent mass is zero
+at every hull solution form the next subfamily; the check ends coherent
+when there are none, and incoherent at the first subfamily outside its
+hull.  That takes at most n rounds for n members.  The all-void
+constituent is excluded throughout (its point is the assessment itself).
 
 The same machinery accepts generalized members given as per-world
 numeric values with voids, which is how conditional random quantities
@@ -32,7 +35,7 @@ from .events import (
     conditional_sets,
     enumerate_constituents,
 )
-from .lp import HullOutside, hull_membership, polytope_range
+from .lp import HullOutside, hull_membership, hull_zero_mass, polytope_range, solve_linear
 from .rationals import ONE, ZERO, rat, rationalize
 from .trivalent import ConditionalEvent
 
@@ -100,6 +103,7 @@ class CoherenceVerdict:
     failing_subfamily: Optional[tuple] = None  # indices into the family
     stakes: Optional[tuple] = None  # separating stakes over that subfamily
     weights: Optional[tuple] = None  # hull weights of the full family when coherent
+    rounds: tuple = ()  # the subfamily tested in each round, in order
 
 
 @dataclass(frozen=True)
@@ -147,19 +151,34 @@ class MemberTable:
         if any(len(m) != self.num_worlds for m in self.members):
             raise CoherenceError("member world counts differ")
         self._groups: dict = {}
+        self._distinct: Optional[set] = None
+
+    def _scan_worlds(self) -> set:
+        """Distinct full-family value patterns, one pass over the worlds.
+
+        Worlds are grouped by the identities of their entries, which
+        hashes machine integers instead of rationals; the few groups are
+        then merged by value (members reuse a handful of value objects,
+        and the table keeps them alive, so identities are stable)."""
+        ids = [list(map(id, member)) for member in self.members]
+        objects = [dict(zip(keys, member)) for keys, member in zip(ids, self.members)]
+        return {
+            tuple(lookup[key] for lookup, key in zip(objects, keys))
+            for keys in set(zip(*ids))
+        }
 
     def patterns(self, subset: tuple) -> tuple:
         """Distinct non-all-void value patterns of the subfamily."""
         cached = self._groups.get(subset)
         if cached is not None:
             return cached
-        cols = [self.members[i] for i in subset]
+        if self._distinct is None:
+            self._distinct = self._scan_worlds()
         seen = set()
-        for pos in range(self.num_worlds):
-            pattern = tuple(col[pos] for col in cols)
-            if all(entry is None for entry in pattern):
-                continue
-            seen.add(pattern)
+        for full in self._distinct:
+            pattern = tuple(full[i] for i in subset)
+            if any(entry is not None for entry in pattern):
+                seen.add(pattern)
         ordered = tuple(sorted(seen, key=lambda pat: [_sort_key(e) for e in pat]))
         self._groups[subset] = ordered
         return ordered
@@ -183,33 +202,48 @@ class MemberTable:
         return rows
 
     def subfamily_hull(self, subset: tuple):
+        """One round on the subfamily: HullOutside, or HullZeroMass whose
+        zero_mass holds the positions in subset of the members with zero
+        antecedent mass at every hull solution."""
         rows = self.hull_rows(subset)
         if not rows:
             raise CoherenceError("subfamily has no effective constituent")
         point = tuple(self.values[i] for i in subset)
-        return hull_membership(rows, point)
+        effective = [
+            [k for k, entry in enumerate(pattern) if entry is not None]
+            for pattern in self.patterns(subset)
+        ]
+        return hull_zero_mass(rows, point, effective)
 
 
-def _subsets_in_order(n: int):
-    for size in range(1, n + 1):
-        yield from itertools.combinations(range(n), size)
+def check_coherence_members(members, values) -> CoherenceVerdict:
+    """Gilio's iterative check over generalized members.
 
-
-def check_coherence_members(members, values, cap: Optional[int] = None) -> CoherenceVerdict:
-    """All-subfamily hull test over generalized members."""
+    Each round tests the current subfamily and continues with its
+    zero-antecedent-mass members; an incoherent verdict reports the
+    support of the separating stakes within the failing round, on which
+    they are a Dutch book."""
     table = MemberTable(members, values)
-    n = len(table.members)
-    limit = family_cap() if cap is None else cap
-    if n > limit:
-        raise FamilyCapError(f"family size {n} exceeds the cap {limit}")
+    subset = tuple(range(len(table.members)))
+    rounds = []
     full_weights = None
-    for subset in _subsets_in_order(n):
+    while True:
+        rounds.append(subset)
         outcome = table.subfamily_hull(subset)
         if isinstance(outcome, HullOutside):
-            return CoherenceVerdict(False, subset, outcome.separator, None)
-        if len(subset) == n:
+            support = [k for k, s in enumerate(outcome.separator) if s != 0]
+            return CoherenceVerdict(
+                False,
+                tuple(subset[k] for k in support),
+                tuple(outcome.separator[k] for k in support),
+                None,
+                tuple(rounds),
+            )
+        if full_weights is None:
             full_weights = outcome.weights
-    return CoherenceVerdict(True, None, None, full_weights)
+        if not outcome.zero_mass:
+            return CoherenceVerdict(True, None, None, full_weights, tuple(rounds))
+        subset = tuple(subset[k] for k in outcome.zero_mass)
 
 
 # -- public operations on assessments ---------------------------------------
@@ -244,12 +278,12 @@ def check_hull(assessment: Assessment, universe: Universe):
     return hull_membership(points.rows, assessment.values)
 
 
-def check_coherence(
-    assessment: Assessment, universe: Universe, cap: Optional[int] = None
-) -> CoherenceVerdict:
-    """Hull test of every nonempty subfamily, smallest first."""
+def check_coherence(assessment: Assessment, universe: Universe) -> CoherenceVerdict:
+    """Gilio's iterative hull test: at most one round per member, each a
+    hull LP on the current subfamily plus the LPs that find its
+    zero-antecedent-mass members (see check_coherence_members)."""
     table = _member_table(assessment, universe)
-    return check_coherence_members(table.members, table.values, cap)
+    return check_coherence_members(table.members, table.values)
 
 
 def random_gain(assessment: Assessment, stakes: Sequence, constituent: Constituent):
@@ -282,10 +316,16 @@ def penalty_loss(assessment: Assessment, constituent: Constituent):
     return total
 
 
-def dutch_book(assessment: Assessment, universe: Universe) -> Optional[DutchBook]:
+def dutch_book(
+    assessment: Assessment,
+    universe: Universe,
+    verdict: Optional[CoherenceVerdict] = None,
+) -> Optional[DutchBook]:
     """Stakes making the gain strictly positive on every effective
-    constituent of some subfamily; None when the assessment is coherent."""
-    verdict = check_coherence(assessment, universe)
+    constituent of some subfamily; None when the assessment is coherent.
+    verdict: the assessment's check_coherence result, when already known."""
+    if verdict is None:
+        verdict = check_coherence(assessment, universe)
     if verdict.coherent:
         return None
     subset = verdict.failing_subfamily
@@ -361,7 +401,7 @@ def _affine_projection(rows, point):
         sum((directions[a][i] * residual[i] for i in range(len(base))), rat(0))
         for a in range(k)
     ]
-    alphas = _solve_consistent(gram, rhs)
+    alphas = solve_linear(gram, rhs, k)
     if alphas is None:
         return None
     coeffs = [rat(1) - sum(alphas, rat(0))] + alphas
@@ -374,48 +414,22 @@ def _affine_projection(rows, point):
     return tuple(out)
 
 
-def _solve_consistent(matrix, rhs):
-    """Gaussian elimination; free variables pinned to zero.  Normal
-    equations are always consistent, but None is returned defensively
-    when elimination contradicts."""
-    k = len(matrix)
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(k)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        sel = next((r for r in range(row, k) if aug[r][col] != 0), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        factor = aug[row][col]
-        aug[row] = [c / factor for c in aug[row]]
-        for r in range(k):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == k:
-            break
-    for r in range(row, k):
-        if aug[r][k] != 0:
-            return None
-    solution = [rat(0)] * k
-    for r, col in enumerate(pivots):
-        solution[col] = aug[r][k]
-    return solution
-
-
-def brier_dominator(assessment: Assessment, universe: Universe) -> Optional[tuple]:
+def brier_dominator(
+    assessment: Assessment,
+    universe: Universe,
+    verdict: Optional[CoherenceVerdict] = None,
+) -> Optional[tuple]:
     """Values penalty-dominating an incoherent assessment, else None.
 
     The failing subfamily's coordinates are replaced by the projection of
     its value vector onto its constituent hull; weak dominance with at
     least one strict reduction is then verified in exact arithmetic over
     the full family's constituents (the reading with one strict
-    inequality, as in the conditional-case definitions).
+    inequality, as in the conditional-case definitions).  verdict: the
+    assessment's check_coherence result, when already known.
     """
-    verdict = check_coherence(assessment, universe)
+    if verdict is None:
+        verdict = check_coherence(assessment, universe)
     if verdict.coherent:
         return None
     subset = verdict.failing_subfamily
@@ -498,12 +512,15 @@ class ExtensionProblem:
         universe: Universe,
         cap: Optional[int] = None,
     ):
-        base_verdict = check_coherence(assessment, universe, cap)
-        if not base_verdict.coherent:
+        # every subfamily of the base is visited, so its size is capped
+        self.base_n = len(assessment.family)
+        limit = family_cap() if cap is None else cap
+        if self.base_n > limit:
+            raise FamilyCapError(f"base family size {self.base_n} exceeds the cap {limit}")
+        if not check_coherence(assessment, universe).coherent:
             raise CoherenceError("base assessment is incoherent")
         self.assessment = assessment
         self.universe = universe
-        self.base_n = len(assessment.family)
         members = [world_values(ce, universe) for ce in assessment.family]
         if isinstance(target, ConditionalEvent):
             members.append(world_values(target, universe))

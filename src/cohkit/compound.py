@@ -520,12 +520,10 @@ def chain_rule_prevision(probabilities: Sequence):
 
 # -- p-consistency and p-entailment ------------------------------------------
 
-def p_consistent(
-    family: Sequence[ConditionalEvent], universe: Universe, cap: Optional[int] = None
-) -> bool:
+def p_consistent(family: Sequence[ConditionalEvent], universe: Universe) -> bool:
     """Assigning probability one to every member is coherent."""
     ones = Assessment.build(tuple(family), [ONE] * len(tuple(family)))
-    return check_coherence(ones, universe, cap).coherent
+    return check_coherence(ones, universe).coherent
 
 
 def p_entails(
@@ -543,7 +541,7 @@ def p_entails(
     exact tests therefore decide the interval.
     """
     family = tuple(family)
-    if not p_consistent(family, universe, cap):
+    if not p_consistent(family, universe):
         raise CompoundError("family is not p-consistent")
     ones = Assessment.build(family, [ONE] * len(family))
     problem = ExtensionProblem(ones, target, universe, cap)

@@ -195,6 +195,20 @@ def _strip_columns(tab, keep_width):
         del row[keep_width:-1]
 
 
+def _set_objective(tab, basis, costs):
+    """Install the reduced-cost row of min costs.x on a feasible basis."""
+    width = len(tab[0])
+    obj = [rat(0)] * width
+    obj[: len(costs)] = costs
+    for i, col in enumerate(basis):
+        coeff = obj[col]
+        if coeff != 0:
+            row = tab[i]
+            for j in range(width):
+                obj[j] = obj[j] - coeff * row[j]
+    tab[-1] = obj
+
+
 def solve(lp: LinearProgram):
     """Solve an exact LP; returns Optimal/Feasible/Infeasible/Unbounded."""
     if not isinstance(lp, LinearProgram):
@@ -245,17 +259,7 @@ def solve(lp: LinearProgram):
     for j, c in enumerate(lp.objective):
         costs[2 * j] = sign * c
         costs[2 * j + 1] = -sign * c
-    width = len(tab[0])
-    obj = [rat(0)] * width
-    for j in range(total):
-        obj[j] = costs[j]
-    for i, col in enumerate(basis):
-        coeff = obj[col]
-        if coeff != 0:
-            row = tab[i]
-            for j in range(width):
-                obj[j] = obj[j] - coeff * row[j]
-    tab[-1] = obj
+    _set_objective(tab, basis, costs)
     result = run_simplex(tab, basis)
     if result != -1:
         ray = _ray_from_tableau(tab, basis, result, total, n)
@@ -357,20 +361,13 @@ def _weights_phase1(points, target):
     return _phase1(rows, rhs_col)
 
 
-def hull_membership(points: Sequence, p: Sequence):
-    """Is p a convex combination of the points?
-
-    Returns HullInside with exact weights, or HullOutside with a strict
-    linear separator (both verified before returning).
-    """
+def _hull_input(points, p):
     pts = [tuple(rat(c) for c in q) for q in points]
     if not pts:
         raise LPError("empty point list")
     target = tuple(rat(c) for c in p)
-    dim = len(target)
-    if any(len(q) != dim for q in pts):
+    if any(len(q) != len(target) for q in pts):
         raise LPError("dimension mismatch between points and target")
-
     # duplicated points only grow the tableau
     unique = []
     origin = []
@@ -380,27 +377,31 @@ def hull_membership(points: Sequence, p: Sequence):
             seen[q] = len(unique)
             unique.append(q)
             origin.append(idx)
-    tab, basis, flips, total = _weights_phase1(unique, target)
-    width = len(tab[0])
-    if tab[-1][width - 1] == 0:
-        cols = _basic_solution(tab, basis, total)
-        weights = [rat(0)] * len(pts)
-        for j, w in enumerate(cols):
-            weights[origin[j]] = w
-        recomposed = [rat(0)] * dim
-        mass = rat(0)
-        for w, q in zip(weights, pts):
-            if w < 0:
-                raise LPInternalError("negative hull weight")
-            mass += w
-            for i in range(dim):
-                recomposed[i] += w * q[i]
-        if mass != 1 or any(r != t for r, t in zip(recomposed, target)):
-            raise LPInternalError("hull weights fail exact recomposition")
-        return HullInside(tuple(weights))
+    return pts, target, unique, origin
 
+
+def _checked_weights(cols, origin, pts, target):
+    """Basic solution over the unique points, spread back onto the
+    original list (first occurrences) and verified exactly."""
+    weights = [rat(0)] * len(pts)
+    for j, w in enumerate(cols):
+        weights[origin[j]] = w
+    recomposed = [rat(0)] * len(target)
+    mass = rat(0)
+    for w, q in zip(weights, pts):
+        if w < 0:
+            raise LPInternalError("negative hull weight")
+        mass += w
+        for i, c in enumerate(q):
+            recomposed[i] += w * c
+    if mass != 1 or any(r != t for r, t in zip(recomposed, target)):
+        raise LPInternalError("hull weights fail exact recomposition")
+    return tuple(weights)
+
+
+def _checked_separator(tab, flips, total, pts, target):
     duals = _phase1_duals(tab, flips, total)
-    separator = [-duals[i] for i in range(dim)]
+    separator = [-duals[i] for i in range(len(target))]
     largest = max(abs(c) for c in separator)
     if largest == 0:
         raise LPInternalError("zero separating vector")
@@ -414,6 +415,144 @@ def hull_membership(points: Sequence, p: Sequence):
         if margin is None or gap < margin:
             margin = gap
     return HullOutside(tuple(separator), margin)
+
+
+def hull_membership(points: Sequence, p: Sequence):
+    """Is p a convex combination of the points?
+
+    Returns HullInside with exact weights, or HullOutside with a strict
+    linear separator (both verified before returning).
+    """
+    pts, target, unique, origin = _hull_input(points, p)
+    tab, basis, flips, total = _weights_phase1(unique, target)
+    if tab[-1][-1] == 0:
+        cols = _basic_solution(tab, basis, total)
+        return HullInside(_checked_weights(cols, origin, pts, target))
+    return _checked_separator(tab, flips, total, pts, target)
+
+
+@dataclass(frozen=True)
+class HullZeroMass:
+    """p is inside the hull.
+
+    weights: the basic solution hull_membership returns.  zero_mass: the
+    coordinates i whose mass Phi_i(w), the sum of w_h over the points h
+    that count for i, is zero at every hull solution w.  certificate:
+    (y, y0) with y.q_h + y0 >= (number of zero_mass coordinates counting
+    point h) for every h and y.p + y0 = 0, which bounds their summed mass
+    by 0; None when zero_mass is empty.
+    """
+
+    status = "inside"
+    weights: tuple
+    zero_mass: tuple
+    certificate: Optional[tuple]
+
+
+def hull_zero_mass(points: Sequence, p: Sequence, counts: Sequence):
+    """Hull test of p, then the coordinates with zero mass throughout.
+
+    counts[h] lists the coordinates whose mass counts point h.  Phase 1
+    is the LP of hull_membership, so an outside p gets the same verified
+    separator.  Inside, a coordinate counted by a positively weighted
+    point has positive mass; for the rest, R, warm-started phase-2 LPs on
+    the same tableau maximise the summed mass of R and drop from R the
+    coordinates that gain mass, until the optimum is 0.  Every optimum is
+    recomposed exactly and the final one carries a checked dual vector.
+    Returns HullOutside or HullZeroMass.
+    """
+    pts, target, unique, origin = _hull_input(points, p)
+    if len(counts) != len(pts):
+        raise LPError("one coordinate list per point required")
+    dim = len(target)
+    # a unique column stands for all its duplicates, so mass on it can
+    # be spread over every coordinate any of them counts
+    column_counts = [set() for _ in unique]
+    index = {q: j for j, q in enumerate(unique)}
+    for q, cs in zip(pts, counts):
+        column_counts[index[q]].update(cs)
+
+    tab, basis, flips, total = _weights_phase1(unique, target)
+    if tab[-1][-1] != 0:
+        return _checked_separator(tab, flips, total, pts, target)
+    cols = _basic_solution(tab, basis, total)
+    weights = _checked_weights(cols, origin, pts, target)
+    rest = set(range(dim)) - _massed(cols, column_counts)
+    if rest:
+        _drive_out_artificials(tab, basis, total)
+        _strip_columns(tab, total)
+    while rest:
+        scores = [len(rest & cs) for cs in column_counts]
+        _set_objective(tab, basis, [-rat(c) for c in scores])
+        if run_simplex(tab, basis) != -1:
+            raise LPInternalError("bounded polytope reported unbounded")
+        cols = _basic_solution(tab, basis, total)
+        _checked_weights(cols, origin, pts, target)
+        if any(w != 0 and c != 0 for w, c in zip(cols, scores)):
+            rest -= _massed(cols, column_counts)
+            continue
+        certificate = _zero_mass_certificate(unique, basis, scores)
+        _verify_zero_mass(certificate, pts, counts, target, rest)
+        return HullZeroMass(weights, tuple(sorted(rest)), certificate)
+    return HullZeroMass(weights, (), None)
+
+
+def _massed(cols, column_counts):
+    out = set()
+    for w, cs in zip(cols, column_counts):
+        if w != 0:
+            out.update(cs)
+    return out
+
+
+def _zero_mass_certificate(unique, basis, scores):
+    """Duals (y, y0) of an optimal basis of max scores.w over the hull
+    polytope: y.q_j + y0 = score_j on the basic columns."""
+    dim = len(unique[0])
+    equations = [list(unique[j]) + [rat(1)] for j in basis]
+    solution = solve_linear(equations, [rat(scores[j]) for j in basis], dim + 1)
+    if solution is None:
+        raise LPInternalError("optimal basis has inconsistent duals")
+    return tuple(solution[:dim]), solution[dim]
+
+
+def _verify_zero_mass(certificate, pts, counts, target, rest):
+    y, y0 = certificate
+    if sum((a * b for a, b in zip(y, target)), y0) != 0:
+        raise LPInternalError("zero-mass certificate has a nonzero value")
+    for q, cs in zip(pts, counts):
+        lhs = sum((a * b for a, b in zip(y, q)), y0)
+        if lhs < len(rest.intersection(cs)):
+            raise LPInternalError("zero-mass certificate fails dual feasibility")
+
+
+def solve_linear(matrix, rhs, num_vars):
+    """One exact solution of matrix.x = rhs (free variables pinned to
+    zero), or None when the system is inconsistent."""
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    pivots = []
+    row = 0
+    for col in range(num_vars):
+        sel = next((r for r in range(row, len(aug)) if aug[r][col] != 0), None)
+        if sel is None:
+            continue
+        aug[row], aug[sel] = aug[sel], aug[row]
+        factor = aug[row][col]
+        aug[row] = [c / factor for c in aug[row]]
+        for r in range(len(aug)):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(aug):
+            break
+    if any(aug[r][num_vars] != 0 for r in range(row, len(aug))):
+        return None
+    solution = [rat(0)] * num_vars
+    for r, col in enumerate(pivots):
+        solution[col] = aug[r][num_vars]
+    return solution
 
 
 def polytope_range(points: Sequence, fixed: Sequence, scores: Sequence):
@@ -441,17 +580,7 @@ def polytope_range(points: Sequence, fixed: Sequence, scores: Sequence):
     for sign in (rat(1), rat(-1)):
         work = [row[:] for row in tab]
         wbasis = basis[:]
-        wwidth = len(work[0])
-        obj = [rat(0)] * wwidth
-        for j in range(total):
-            obj[j] = sign * vals[j]
-        for i, col in enumerate(wbasis):
-            coeff = obj[col]
-            if coeff != 0:
-                row = work[i]
-                for j in range(wwidth):
-                    obj[j] = obj[j] - coeff * row[j]
-        work[-1] = obj
+        _set_objective(work, wbasis, [sign * v for v in vals])
         if run_simplex(work, wbasis) != -1:
             raise LPInternalError("bounded polytope reported unbounded")
         cols = _basic_solution(work, wbasis, total)

@@ -4,12 +4,16 @@ The vertex enumerator solves small LPs by pure rational linear algebra
 (no simplex): it intersects every subset of constraint boundaries,
 keeps the feasible points, and scans the objective.  It is deliberately
 slow and deliberately ignorant of cohkit.lp's internals.
+
+The all-subfamily check is the coherence test cohkit used before
+Gilio's iteration: one hull LP for every nonempty subfamily, smallest
+first, on constituent points it builds itself from a per-world scan.
 """
 
 import itertools
 from fractions import Fraction
 
-from cohkit.lp import EQ, GE, LE
+from cohkit.lp import EQ, GE, LE, HullOutside, hull_membership
 
 
 def _solve_square(rows, rhs):
@@ -70,3 +74,39 @@ def brute_force_optimum(num_vars, constraints, objective, maximize):
         sum(Fraction(c) * x for c, x in zip(objective, v)) for v in vertices
     ]
     return max(values) if maximize else min(values)
+
+
+def _pattern_key(pattern):
+    return [(1,) if entry is None else (0, -entry) for entry in pattern]
+
+
+def subfamily_points(members, values, subset):
+    """Constituent points of a subfamily of generalized members (per-world
+    values, None when void), in cohkit's pattern order: voids carry the
+    assessed value and the all-void pattern is left out."""
+    patterns = set()
+    for pos in range(len(members[0])):
+        pattern = tuple(members[i][pos] for i in subset)
+        if any(entry is not None for entry in pattern):
+            patterns.add(pattern)
+    ordered = sorted(patterns, key=_pattern_key)
+    return [
+        tuple(values[i] if entry is None else entry for i, entry in zip(subset, pattern))
+        for pattern in ordered
+    ]
+
+
+def _subsets_in_order(n):
+    for size in range(1, n + 1):
+        yield from itertools.combinations(range(n), size)
+
+
+def all_subfamily_check(members, values):
+    """(coherent, first failing subfamily, its separator) from the hull
+    test of every nonempty subfamily, smallest first."""
+    for subset in _subsets_in_order(len(members)):
+        point = tuple(values[i] for i in subset)
+        outcome = hull_membership(subfamily_points(members, values, subset), point)
+        if isinstance(outcome, HullOutside):
+            return False, subset, outcome.separator
+    return True, None, None

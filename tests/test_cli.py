@@ -127,6 +127,6 @@ def test_tables_quarter_grid_matches_golden():
 
 
 def test_family_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("COHKIT_MAX_FAMILY", "2")
-    code = main(["check", str(DATA / "additive_triple.coh")])
+    monkeypatch.setenv("COHKIT_MAX_FAMILY", "1")
+    code = main(["bounds", str(DATA / "free_pair.coh"), "--op", "K", "--kind", "and"])
     assert code == 2

@@ -7,6 +7,7 @@ from cohkit.coherence import (
     CoherenceError,
     ExtensionProblem,
     FamilyCapError,
+    MemberTable,
     brier_dominator,
     build_points,
     check_coherence,
@@ -15,6 +16,7 @@ from cohkit.coherence import (
     extension_bounds,
     penalty_loss,
     random_gain,
+    world_values,
 )
 from cohkit.events import Atom, TOP, Universe, enumerate_constituents
 from cohkit.lp import HullInside, HullOutside, polytope_range
@@ -145,14 +147,49 @@ def test_necessity_not_sufficiency(hull_pass_subfamily_fail):
     assert book.margin == rat(1, 2)
 
 
+def test_rounds_trace(hull_pass_subfamily_fail, additive_triple):
+    u, assessment = hull_pass_subfamily_fail
+    assert check_coherence(assessment, u).rounds == ((0, 1), (0,))
+    u, assessment = additive_triple
+    assert check_coherence(assessment, u).rounds == ((0, 1, 2),)
+
+
+def test_member_table_scans_worlds_once(monkeypatch):
+    scans = []
+    original = MemberTable._scan_worlds
+
+    def counting(table):
+        scans.append(table)
+        return original(table)
+
+    monkeypatch.setattr(MemberTable, "_scan_worlds", counting)
+    u = free_universe()
+    members = [world_values(ce, u) for ce in (AH, BK, ConditionalEvent(A & B, H | K))]
+    table = MemberTable(members, [rat(1, 2), rat(1, 3), rat(1, 4)])
+    subsets = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+    for subset in subsets:
+        table.hull_rows(subset)
+        table.subfamily_hull(subset)
+    assert len(scans) == 1
+    # the projected patterns are the ones a per-world scan finds
+    for subset in subsets:
+        seen = {
+            tuple(members[i][pos] for i in subset) for pos in range(len(u))
+        }
+        assert set(table.patterns(subset)) == {
+            pattern for pattern in seen if any(e is not None for e in pattern)
+        }
+
+
 def test_family_cap(monkeypatch):
+    # the check has no 2^n work left, so only extension is capped
     u = Universe(["A", "B"])
     fam = unconditional(A, B, A | B)
     assessment = Assessment.build(fam, [rat(2, 5), rat(3, 10), rat(1, 2)])
-    monkeypatch.setenv("COHKIT_MAX_FAMILY", "2")
+    monkeypatch.setenv("COHKIT_MAX_FAMILY", "1")
+    assert check_coherence(assessment, u).coherent
     with pytest.raises(FamilyCapError):
-        check_coherence(assessment, u)
-    assert check_coherence(assessment, u, cap=3).coherent
+        extension_bounds(assessment, ConditionalEvent(A & B, TOP), u)
 
 
 def test_point_table_examples():

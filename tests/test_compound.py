@@ -227,6 +227,23 @@ def test_gs_and_n_rejects_incoherent_system():
         gs_and_n([AH, BK], prevs, u)
 
 
+def test_gs_and_n_four_conditionals():
+    # 15 subset compounds, past the family cap of the extension routes
+    names = ["E1", "E2", "E3", "E4", "H1", "H2", "H3", "H4"]
+    u = Universe(names)
+    family = [ConditionalEvent(Atom(f"E{i}"), Atom(f"H{i}")) for i in range(1, 5)]
+    masses = [rat(1 + pos % 7) for pos in range(len(u))]
+    total = sum(masses, ZERO)
+    prevs = mu_previsions(family, [m / total for m in masses], u)
+    assert len(prevs) == 15
+    conj = gs_and_n(family, prevs, u)
+    assert conj.world_values(u)
+    three_way = [prevs[s] for s in prevs if len(s) == 3]
+    prevs[frozenset(range(4))] = min(three_way) + rat(1, 100)
+    with pytest.raises(CompoundError):
+        gs_and_n(family, prevs, u)
+
+
 def test_chain_collapse_and_product():
     # E1, E2|E1, E3|E1 E2: the conjunction is the plain product indicator
     u = Universe(["E1", "E2", "E3"])

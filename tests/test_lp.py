@@ -8,10 +8,12 @@ from cohkit.lp import (
     GE,
     HullInside,
     HullOutside,
+    HullZeroMass,
     LE,
     LPError,
     LinearProgram,
     hull_membership,
+    hull_zero_mass,
     polytope_range,
     solve,
 )
@@ -196,3 +198,54 @@ def test_hull_membership_two_sided(data):
         gaps = [sum(si * qi for si, qi in zip(s, q)) - offset for q in points]
         assert min(gaps) > 0
         assert min(gaps) == result.margin
+
+
+def test_hull_zero_mass_certificate():
+    # E1|H1 = 1/2 and E2|H2 = 1 with E1 & H1 impossible: coordinate 0
+    # can only be matched by points where the first member is void
+    half = rat(1, 2)
+    points = [(0, 1), (0, 0), (0, 1), (half, 1), (half, 0)]
+    counts = [[0, 1], [0, 1], [0], [1], [1]]
+    target = (half, 1)
+    inside = hull_membership(points, target)
+    outcome = hull_zero_mass(points, target, counts)
+    assert outcome.weights == inside.weights
+    assert outcome.zero_mass == (0,)
+    y, y0 = outcome.certificate
+    assert y[0] * target[0] + y[1] * target[1] + y0 == 0
+    for q, cs in zip(points, counts):
+        assert y[0] * q[0] + y[1] * q[1] + y0 >= (1 if 0 in cs else 0)
+
+
+def test_hull_zero_mass_outside_matches_hull_membership():
+    points = [(1, 1, 1), (1, 0, 1), (0, 1, 1), (0, 0, 0)]
+    target = (rat(2, 5), rat(3, 10), rat(4, 5))
+    counts = [[0, 1, 2]] * 4
+    assert hull_zero_mass(points, target, counts) == hull_membership(points, target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.sets(st.integers(0, 1))),
+        min_size=1,
+        max_size=6,
+    ),
+    st.lists(st.integers(0, 4), min_size=1, max_size=6),
+)
+def test_hull_zero_mass_agrees_with_range_lps(rows, mix):
+    # p is a mixture of the points, so it is inside; a coordinate has
+    # zero mass exactly when the max of its mass over the polytope is 0
+    points = [(rat(a, 2), rat(b, 2)) for a, b, _ in rows]
+    counts = [sorted(cs) for _a, _b, cs in rows]
+    weights = [rat(mix[h % len(mix)]) for h in range(len(points))]
+    if sum(weights) == 0:
+        weights[0] = rat(1)
+    total = sum(weights)
+    target = tuple(sum(w * q[i] for w, q in zip(weights, points)) / total for i in range(2))
+    outcome = hull_zero_mass(points, target, counts)
+    assert isinstance(outcome, HullZeroMass)
+    for i in range(2):
+        scores = [1 if i in cs else 0 for cs in counts]
+        _lo, hi = polytope_range(points, target, scores)
+        assert (hi == 0) == (i in outcome.zero_mass)
