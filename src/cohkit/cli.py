@@ -144,7 +144,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    step = rat(*map(int, args.step.split("/"))) if "/" in args.step else rat(args.step)
+    step = rat(args.step)
     if step not in GRID_STEPS:
         raise FileFormatError(0, "step must be one of 1/4, 1/10, 1/20")
     report = Report().add("command", "tables")

@@ -23,20 +23,22 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-from scipy.optimize import minimize
-
 from .events import (
     Constituent,
-    ConstituentTable,
     SIG_FALSE,
     SIG_TRUE,
     Universe,
     conditional_sets,
     enumerate_constituents,
 )
-from .lp import HullOutside, hull_membership, hull_zero_mass, polytope_range, solve_linear
-from .rationals import ONE, ZERO, rat, rationalize
+from .lp import (
+    HullOutside,
+    hull_membership,
+    hull_projection,
+    hull_zero_mass,
+    polytope_range,
+)
+from .rationals import ONE, ZERO, rat
 from .trivalent import ConditionalEvent
 
 DEFAULT_MAX_FAMILY = 12
@@ -84,17 +86,6 @@ class Assessment:
 
     def in_unit_range(self) -> bool:
         return all(0 <= v <= 1 for v in self.values)
-
-
-@dataclass(frozen=True)
-class PointTable:
-    """Constituent points Q_h of an assessment (C_0 excluded)."""
-
-    table: ConstituentTable
-    rows: tuple  # one rational vector per non-C0 constituent
-
-    def row_for(self, constituent: Constituent):
-        return self.rows[constituent.index - 1]
 
 
 @dataclass(frozen=True)
@@ -248,34 +239,24 @@ def check_coherence_members(members, values) -> CoherenceVerdict:
 
 # -- public operations on assessments ---------------------------------------
 
-def build_points(assessment: Assessment, universe: Universe) -> PointTable:
-    """Constituent points of the assessed family, one row per C_h, h >= 1."""
-    table = enumerate_constituents(assessment.family, universe)
-    rows = []
-    for constituent in table.constituents:
-        row = []
-        for i, code in enumerate(constituent.signature):
-            if code == SIG_TRUE:
-                row.append(ONE)
-            elif code == SIG_FALSE:
-                row.append(ZERO)
-            else:
-                row.append(assessment.values[i])
-        rows.append(tuple(row))
-    return PointTable(table, tuple(rows))
-
-
 def _member_table(assessment: Assessment, universe: Universe) -> MemberTable:
     members = [world_values(ce, universe) for ce in assessment.family]
     return MemberTable(members, assessment.values)
 
 
+def _constituent_points(assessment: Assessment, universe: Universe) -> list:
+    """Constituent points of the whole family, one row per C_h, h >= 1,
+    in constituent order."""
+    table = _member_table(assessment, universe)
+    rows = table.hull_rows(tuple(range(len(table.members))))
+    if not rows:
+        raise CoherenceError("family has no effective constituent")
+    return rows
+
+
 def check_hull(assessment: Assessment, universe: Universe):
     """Full-family hull test only (necessary, not sufficient)."""
-    points = build_points(assessment, universe)
-    if not points.rows:
-        raise CoherenceError("family has no effective constituent")
-    return hull_membership(points.rows, assessment.values)
+    return hull_membership(_constituent_points(assessment, universe), assessment.values)
 
 
 def check_coherence(assessment: Assessment, universe: Universe) -> CoherenceVerdict:
@@ -346,74 +327,6 @@ def dutch_book(
 
 # -- penalty-criterion dominance --------------------------------------------
 
-def _project_onto_hull(rows, point, max_denominator):
-    """Euclidean projection of point onto the hull of rows, staged in
-    floating point and lifted back to exact rationals.
-
-    Returns an exact point; correctness is established by the caller's
-    dominance verification, not here.
-    """
-    arr = np.array([[float(c) for c in row] for row in rows], dtype=float)
-    tgt = np.array([float(c) for c in point], dtype=float)
-    m = len(rows)
-
-    def objective(lam):
-        diff = lam @ arr - tgt
-        return float(diff @ diff)
-
-    start = np.full(m, 1.0 / m)
-    res = minimize(
-        objective,
-        start,
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * m,
-        constraints=[{"type": "eq", "fun": lambda lam: float(lam.sum() - 1.0)}],
-        options={"maxiter": 500, "ftol": 1e-16},
-    )
-    lam = np.clip(res.x, 0.0, None)
-    lam /= lam.sum()
-
-    # exact polish: project onto the affine hull of the float support
-    support = [h for h in range(m) if lam[h] > 1e-9]
-    exact = _affine_projection([rows[h] for h in support], point)
-    if exact is not None:
-        return exact
-    projected = lam @ arr
-    return tuple(rationalize(float(c), max_denominator) for c in projected)
-
-
-def _affine_projection(rows, point):
-    """Exact projection of point onto the affine hull of rows, or None
-    when the convex coefficients come out negative."""
-    base = rows[0]
-    directions = [
-        [q[i] - base[i] for i in range(len(base))] for q in rows[1:]
-    ]
-    k = len(directions)
-    if k == 0:
-        return tuple(base)
-    residual = [point[i] - base[i] for i in range(len(base))]
-    gram = [
-        [sum((directions[a][i] * directions[b][i] for i in range(len(base))), rat(0)) for b in range(k)]
-        for a in range(k)
-    ]
-    rhs = [
-        sum((directions[a][i] * residual[i] for i in range(len(base))), rat(0))
-        for a in range(k)
-    ]
-    alphas = solve_linear(gram, rhs, k)
-    if alphas is None:
-        return None
-    coeffs = [rat(1) - sum(alphas, rat(0))] + alphas
-    if any(c < 0 for c in coeffs):
-        return None
-    out = list(base)
-    for a in range(k):
-        for i in range(len(base)):
-            out[i] += alphas[a] * directions[a][i]
-    return tuple(out)
-
-
 def brier_dominator(
     assessment: Assessment,
     universe: Universe,
@@ -421,12 +334,14 @@ def brier_dominator(
 ) -> Optional[tuple]:
     """Values penalty-dominating an incoherent assessment, else None.
 
-    The failing subfamily's coordinates are replaced by the projection of
-    its value vector onto its constituent hull; weak dominance with at
-    least one strict reduction is then verified in exact arithmetic over
-    the full family's constituents (the reading with one strict
-    inequality, as in the conditional-case definitions).  verdict: the
-    assessment's check_coherence result, when already known.
+    The failing subfamily's coordinates are replaced by the exact
+    Euclidean projection of its value vector onto its constituent hull
+    (Gilio & Sanfilippo, ISIPTA 2011: the projection penalty-dominates an
+    incoherent vector).  Weak dominance with at least one strict
+    reduction is then verified in exact arithmetic over the full family's
+    constituents (the reading with one strict inequality, as in the
+    conditional-case definitions).  verdict: the assessment's
+    check_coherence result, when already known.
     """
     if verdict is None:
         verdict = check_coherence(assessment, universe)
@@ -437,18 +352,14 @@ def brier_dominator(
         [assessment.family[i] for i in subset],
         [assessment.values[i] for i in subset],
     )
-    sub_points = build_points(sub, universe)
-    rows = sub_points.rows
-
-    for max_den_power in (12, 24, 48):
-        projected = _project_onto_hull(rows, sub.values, 10**max_den_power)
-        candidate = list(assessment.values)
-        for k, i in enumerate(subset):
-            candidate[i] = projected[k]
-        candidate = tuple(candidate)
-        if _dominates(assessment, candidate, universe):
-            return candidate
-    raise CoherenceError("projection failed to verify dominance after refinement")
+    projected = hull_projection(_constituent_points(sub, universe), sub.values).point
+    candidate = list(assessment.values)
+    for k, i in enumerate(subset):
+        candidate[i] = projected[k]
+    candidate = tuple(candidate)
+    if not _dominates(assessment, candidate, universe):
+        raise CoherenceError("projection fails the exact dominance check")
+    return candidate
 
 
 def _dominates(assessment: Assessment, candidate: tuple, universe: Universe) -> bool:

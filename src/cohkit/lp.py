@@ -5,7 +5,8 @@ against its defining inequalities before being returned, so callers can
 rely on zero-residual witnesses and certificates.  The convex-hull
 membership test and the polytope range query used by the coherence
 engine live here as specialized entry points that keep the nonnegative
-weight variables native instead of splitting signs.
+weight variables native instead of splitting signs, beside the exact
+Euclidean projection onto a hull that the penalty dominator uses.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ._kernel import KERNEL_NAME, run_simplex
-from .rationals import rat
+from .rationals import ONE, ZERO, rat
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
@@ -31,7 +31,57 @@ class LPInternalError(LPError):
 
 
 def kernel_name() -> str:
-    return KERNEL_NAME
+    return "pure-python"
+
+
+def _pivot(rows, r, c):
+    """Scale row r to a unit entry in column c and clear column c from
+    every other row (the last row included)."""
+    pivot_row = rows[r]
+    factor = pivot_row[c]
+    if factor != 1:
+        pivot_row[:] = [v / factor for v in pivot_row]
+    for i, row in enumerate(rows):
+        if i != r:
+            coeff = row[c]
+            if coeff != 0:
+                row[:] = [a - coeff * b if b else a for a, b in zip(row, pivot_row)]
+
+
+def run_simplex(tableau, basis):
+    """Pivot with Bland's rule until optimal or unbounded.
+
+    tableau: (m+1) x (n+1) rows of exact rationals, the reduced-cost row
+    of a minimization last and the right-hand side column last, with
+    nonnegative right-hand sides on the constraint rows.  basis: the m
+    basic column indices, updated in place.  Bland's rule in both the
+    entering and the leaving choice guarantees termination.  Returns -1
+    at optimality, else the entering column proving unboundedness.
+    """
+    m = len(tableau) - 1
+    rhs = len(tableau[0]) - 1
+    obj = tableau[m]
+    while True:
+        enter = next((j for j in range(rhs) if obj[j] < 0), -1)
+        if enter < 0:
+            return -1
+        leave = -1
+        best = None
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > 0:
+                ratio = tableau[i][rhs] / a
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return enter
+        _pivot(tableau, leave, enter)
+        basis[leave] = enter
 
 
 @dataclass(frozen=True)
@@ -158,32 +208,15 @@ def _phase1_duals(tab, flips, n):
 
 def _drive_out_artificials(tab, basis, n):
     """Pivot basic artificials out; drop rows that are fully redundant."""
-    m = len(tab) - 1
-    width = len(tab[0])
     drop = []
-    for i in range(m):
+    for i in range(len(tab) - 1):
         if basis[i] < n:
             continue
-        pivot_col = -1
-        for j in range(n):
-            if tab[i][j] != 0:
-                pivot_col = j
-                break
+        pivot_col = next((j for j in range(n) if tab[i][j] != 0), -1)
         if pivot_col < 0:
             drop.append(i)
             continue
-        factor = tab[i][pivot_col]
-        row = tab[i]
-        for j in range(width):
-            row[j] = row[j] / factor
-        for k in range(m + 1):
-            if k == i:
-                continue
-            other = tab[k]
-            coeff = other[pivot_col]
-            if coeff != 0:
-                for j in range(width):
-                    other[j] = other[j] - coeff * row[j]
+        _pivot(tab, i, pivot_col)
         basis[i] = pivot_col
     for i in reversed(drop):
         del tab[i]
@@ -526,6 +559,105 @@ def _verify_zero_mass(certificate, pts, counts, target, rest):
             raise LPInternalError("zero-mass certificate fails dual feasibility")
 
 
+# -- Euclidean projection onto a hull ---------------------------------------
+
+@dataclass(frozen=True)
+class HullProjection:
+    """The point of the hull nearest to p: point = sum(w_h q_h) with
+    w >= 0 and sum(w) = 1, and (p - point).(q - point) <= 0 for every
+    hull point q."""
+
+    point: tuple
+    weights: tuple
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), ZERO)
+
+
+def _gap(p, x, q):
+    """(p - x).(q - x): positive exactly when moving from x towards q
+    brings x closer to p."""
+    return sum(((a - b) * (c - b) for a, b, c in zip(p, x, q)), ZERO)
+
+
+def _combine(weights, rows):
+    return tuple(_dot(weights, column) for column in zip(*rows))
+
+
+def _affine_weights(rows, p):
+    """Coefficients (summing to 1) of the projection of p onto the
+    affine hull of rows, from the normal equations of the directions
+    q - rows[0]."""
+    base = rows[0]
+    directions = [[a - b for a, b in zip(q, base)] for q in rows[1:]]
+    residual = [a - b for a, b in zip(p, base)]
+    gram = [[_dot(d, e) for e in directions] for d in directions]
+    alphas = solve_linear(gram, [_dot(d, residual) for d in directions], len(directions))
+    if alphas is None:
+        raise LPInternalError("inconsistent normal equations")
+    return [ONE - sum(alphas, ZERO)] + alphas
+
+
+def hull_projection(points: Sequence, p: Sequence) -> HullProjection:
+    """Euclidean projection of p onto the convex hull of the points.
+
+    Wolfe's min-norm-point algorithm (Math. Programming 11, 1976), which
+    terminates finitely in exact arithmetic.  The corral holds affinely
+    independent points with positive weights whose combination x is the
+    projection of p onto their affine hull.  A major cycle adds the point
+    q with the largest (p - x).(q - x) while that is positive; minor
+    cycles then move x towards the affine projection over the enlarged
+    corral, as far as the weights stay nonnegative, and drop the points
+    whose weight reaches zero.  The result is verified exactly.
+    """
+    pts, target, unique, origin = _hull_input(points, p)
+    # _gap(p, q, p) is the squared distance from q to p
+    nearest = min(range(len(unique)), key=lambda j: _gap(target, unique[j], target))
+    corral, lam = [nearest], [ONE]
+    x = unique[nearest]
+    distance = _gap(target, x, target)
+    while True:
+        gaps = [_gap(target, x, q) for q in unique]
+        enter = max(range(len(unique)), key=gaps.__getitem__)
+        if gaps[enter] <= 0:
+            break
+        corral.append(enter)
+        lam.append(ZERO)
+        settled = False
+        while not settled:
+            alpha = _affine_weights([unique[j] for j in corral], target)
+            settled = all(a >= 0 for a in alpha)
+            if settled:
+                lam = alpha
+            else:
+                theta = min(w / (w - a) for w, a in zip(lam, alpha) if a < 0)
+                lam = [w + theta * (a - w) for w, a in zip(lam, alpha)]
+            keep = [k for k, w in enumerate(lam) if w != 0]
+            corral = [corral[k] for k in keep]
+            lam = [lam[k] for k in keep]
+        x = _combine(lam, [unique[j] for j in corral])
+        closer = _gap(target, x, target)
+        if closer >= distance:
+            raise LPInternalError("min-norm step made no progress")
+        distance = closer
+    weights = [ZERO] * len(pts)
+    for j, w in zip(corral, lam):
+        weights[origin[j]] = w
+    return _checked_projection(HullProjection(x, tuple(weights)), pts, target)
+
+
+def _checked_projection(projection, pts, target):
+    x, weights = projection.point, projection.weights
+    if any(w < 0 for w in weights) or sum(weights, ZERO) != 1:
+        raise LPInternalError("projection weights are not convex")
+    if _combine(weights, pts) != x:
+        raise LPInternalError("projection weights fail exact recomposition")
+    if any(_gap(target, x, q) > 0 for q in pts):
+        raise LPInternalError("projection fails the obtuse-angle check")
+    return projection
+
+
 def solve_linear(matrix, rhs, num_vars):
     """One exact solution of matrix.x = rhs (free variables pinned to
     zero), or None when the system is inconsistent."""
@@ -537,12 +669,7 @@ def solve_linear(matrix, rhs, num_vars):
         if sel is None:
             continue
         aug[row], aug[sel] = aug[sel], aug[row]
-        factor = aug[row][col]
-        aug[row] = [c / factor for c in aug[row]]
-        for r in range(len(aug)):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
+        _pivot(aug, row, col)
         pivots.append(col)
         row += 1
         if row == len(aug):

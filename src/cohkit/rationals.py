@@ -108,12 +108,3 @@ def format_decimal(value, digits: int = 12) -> str:
         text = text.rstrip("0")
     return f"{sign}{whole}.{text}"
 
-
-def rationalize(x: float, max_denominator: int):
-    """Nearest rational to a float with a bounded denominator.
-
-    Continued-fraction rounding via Fraction.limit_denominator; used to
-    lift floating-point staging results back into exact arithmetic.
-    """
-    approx = Fraction(x).limit_denominator(max_denominator)
-    return rat(approx.numerator, approx.denominator)

@@ -8,6 +8,10 @@ slow and deliberately ignorant of cohkit.lp's internals.
 The all-subfamily check is the coherence test cohkit used before
 Gilio's iteration: one hull LP for every nonempty subfamily, smallest
 first, on constituent points it builds itself from a per-world scan.
+
+The projection oracle finds the point of a hull nearest to p by trying
+every subset of the points: the projection onto the subset's affine hull
+counts when its coefficients are nonnegative, and the nearest one wins.
 """
 
 import itertools
@@ -110,3 +114,28 @@ def all_subfamily_check(members, values):
         if isinstance(outcome, HullOutside):
             return False, subset, outcome.separator
     return True, None, None
+
+
+def _dot(u, v):
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+
+
+def brute_force_projection(points, p):
+    """Nearest point to p of the convex hull of the points, by subsets."""
+    best = None
+    best_distance = None
+    for size in range(1, len(points) + 1):
+        for subset in itertools.combinations(points, size):
+            base = subset[0]
+            directions = [[Fraction(a) - b for a, b in zip(q, base)] for q in subset[1:]]
+            residual = [Fraction(a) - b for a, b in zip(p, base)]
+            gram = [[_dot(d, e) for e in directions] for d in directions]
+            alphas = _solve_square(gram, [_dot(d, residual) for d in directions])
+            if alphas is None or sum(alphas) > 1 or any(a < 0 for a in alphas):
+                continue
+            x = [Fraction(c) + sum(a * d[i] for a, d in zip(alphas, directions))
+                 for i, c in enumerate(base)]
+            distance = sum((Fraction(a) - b) ** 2 for a, b in zip(p, x))
+            if best_distance is None or distance < best_distance:
+                best, best_distance = tuple(x), distance
+    return best

@@ -118,6 +118,13 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("step", ["1/0", "1/2/3"])
+def test_tables_rejects_malformed_step(step, capsys):
+    assert main(["tables", "--step", step]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_tables_quarter_grid_matches_golden():
     code, text = run_cli("tables", "--step", "1/4")
     assert code == 0

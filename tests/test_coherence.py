@@ -9,7 +9,6 @@ from cohkit.coherence import (
     FamilyCapError,
     MemberTable,
     brier_dominator,
-    build_points,
     check_coherence,
     check_hull,
     dutch_book,
@@ -39,10 +38,17 @@ def additive_triple():
     return u, Assessment.build(fam, [rat(2, 5), rat(3, 10), rat(4, 5)])
 
 
+def points(assessment, universe):
+    """The family's constituent points, read from its MemberTable."""
+    table = MemberTable(
+        [world_values(ce, universe) for ce in assessment.family], assessment.values
+    )
+    return tuple(table.hull_rows(tuple(range(len(assessment.family)))))
+
+
 def test_points_of_additive_triple(additive_triple):
     u, assessment = additive_triple
-    points = build_points(assessment, u)
-    assert points.rows == (
+    assert points(assessment, u) == (
         (1, 1, 1),
         (1, 0, 1),
         (0, 1, 1),
@@ -197,14 +203,12 @@ def test_point_table_examples():
     u = free_universe()
     fam = [AH, ConditionalEvent(A & B, H & K)]
     x, y = rat(1, 3), rat(2, 7)
-    points = build_points(Assessment.build(fam, [x, y]), u)
-    assert set(points.rows) == {(1, 1), (1, 0), (1, y), (0, 0), (0, y)}
+    rows = points(Assessment.build(fam, [x, y]), u)
+    assert set(rows) == {(1, 1), (1, 0), (1, y), (0, 0), (0, y)}
     # unconditional families have binary points
     u2 = Universe(["A", "B"])
-    pts2 = build_points(
-        Assessment.build(unconditional(A, B), [rat(1, 3), rat(1, 5)]), u2
-    )
-    assert all(set(row) <= {rat(0), rat(1)} for row in pts2.rows)
+    rows2 = points(Assessment.build(unconditional(A, B), [rat(1, 3), rat(1, 5)]), u2)
+    assert all(set(row) <= {rat(0), rat(1)} for row in rows2)
 
 
 def test_constrained_pair_points():
@@ -218,8 +222,8 @@ def test_constrained_pair_points():
         ],
     )
     x, y = rat(1, 5), rat(7, 10)
-    points = build_points(Assessment.build([AH, BK], [x, y]), u)
-    assert set(points.rows) == {(1, 1), (x, 1), (0, y), (0, 0)}
+    rows = points(Assessment.build([AH, BK], [x, y]), u)
+    assert set(rows) == {(1, 1), (x, 1), (0, y), (0, 0)}
 
 
 def test_brier_dominator_is_projection(additive_triple):

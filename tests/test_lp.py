@@ -13,13 +13,14 @@ from cohkit.lp import (
     LPError,
     LinearProgram,
     hull_membership,
+    hull_projection,
     hull_zero_mass,
     polytope_range,
     solve,
 )
 from cohkit.rationals import rat
 
-from oracles import brute_force_optimum
+from oracles import brute_force_optimum, brute_force_projection
 
 
 def test_one_dimensional_box():
@@ -249,3 +250,21 @@ def test_hull_zero_mass_agrees_with_range_lps(rows, mix):
         scores = [1 if i in cs else 0 for cs in counts]
         _lo, hi = polytope_range(points, target, scores)
         assert (hi == 0) == (i in outcome.zero_mass)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_hull_projection_matches_subset_oracle(data):
+    dim = data.draw(st.integers(1, 3))
+    npts = data.draw(st.integers(1, 5))
+    grid = st.integers(-3, 3)
+    points = [
+        tuple(rat(data.draw(grid), 3) for _ in range(dim)) for _ in range(npts)
+    ]
+    p = tuple(rat(data.draw(st.integers(-6, 6)), 4) for _ in range(dim))
+    projection = hull_projection(points, p)
+    assert projection.point == brute_force_projection(points, p)
+    mix = tuple(
+        sum(w * q[i] for w, q in zip(projection.weights, points)) for i in range(dim)
+    )
+    assert mix == projection.point and sum(projection.weights) == 1

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +7,6 @@ from cohkit.rationals import (
     format_rational,
     parse_rational,
     rat,
-    rationalize,
 )
 
 
@@ -49,8 +46,3 @@ def test_format_parse_round_trip(num, den):
     value = rat(num, den)
     assert parse_rational(format_rational(value)) == value
 
-
-@given(st.integers(-1000, 1000), st.integers(1, 1000))
-def test_rationalize_recovers_small_fractions(num, den):
-    value = Fraction(num, den)
-    assert rationalize(float(value), 10**6) == rat(num, den)
