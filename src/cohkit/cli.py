@@ -124,21 +124,18 @@ def cmd_bounds(args) -> int:
         raise FileFormatError(0, "bounds needs two assessed events")
     ce1, ce2 = assessment.family[0], assessment.family[1]
     base = Assessment.build([ce1, ce2], assessment.values[:2])
-    if not check_coherence(base, doc.universe).coherent:
+    verdict = check_coherence(base, doc.universe)
+    if not verdict.coherent:
         report.add("verdict", "incoherent-base")
         print(render(report), end="")
         return 1
     target = build_target(
         args.kind, args.op, ce1, ce2, base.values[0], base.values[1], doc.universe
     )
-    bounds = extension_bounds(base, target, doc.universe, TOLERANCE)
+    bounds = extension_bounds(base, target, doc.universe, verdict=verdict)
     section = report.section("interval")
     section.add("lower", bounds.lower)
-    section.add("lower-bracket", list(bounds.lower_bracket))
-    section.add("lower-exact", bounds.lower_exact)
     section.add("upper", bounds.upper)
-    section.add("upper-bracket", list(bounds.upper_bracket))
-    section.add("upper-exact", bounds.upper_exact)
     print(render(report), end="")
     return 0
 
@@ -150,7 +147,7 @@ def cmd_tables(args) -> int:
     report = Report().add("command", "tables")
     report.add("grid-step", step)
     report.add("kernel", kernel_name())
-    rows = compute_intervals(step, TOLERANCE)
+    rows = compute_intervals(step)
     all_match = True
     intervals = report.section("intervals")
     for row in rows:

@@ -10,6 +10,8 @@ at every hull solution form the next subfamily; the check ends coherent
 when there are none, and incoherent at the first subfamily outside its
 hull.  That takes at most n rounds for n members.  The all-void
 constituent is excluded throughout (its point is the assessment itself).
+Coherent-extension intervals follow the same iteration, with a pair of
+endpoint LPs per round (see _extension_interval).
 
 The same machinery accepts generalized members given as per-world
 numeric values with voids, which is how conditional random quantities
@@ -18,7 +20,7 @@ from cohkit.compound are checked.
 
 from __future__ import annotations
 
-import itertools
+import copy
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -36,7 +38,7 @@ from .lp import (
     hull_membership,
     hull_projection,
     hull_zero_mass,
-    polytope_range,
+    linear_range,
 )
 from .rationals import ONE, ZERO, rat
 from .trivalent import ConditionalEvent
@@ -51,10 +53,6 @@ class CoherenceError(Exception):
 
 class FamilyCapError(CoherenceError):
     pass
-
-
-class ExtensionSeedError(CoherenceError):
-    """No coherent value for the target could be located by probing."""
 
 
 def family_cap() -> int:
@@ -142,7 +140,16 @@ class MemberTable:
         if any(len(m) != self.num_worlds for m in self.members):
             raise CoherenceError("member world counts differ")
         self._groups: dict = {}
-        self._distinct: Optional[set] = None
+        self._distinct = self._scan_worlds()
+
+    def revalued(self, values: Sequence) -> "MemberTable":
+        """The same members under other values, sharing the world scan
+        and the pattern cache (patterns do not depend on values)."""
+        twin = copy.copy(self)
+        twin.values = [rat(v) for v in values]
+        if len(twin.values) != len(self.members):
+            raise CoherenceError("member and value counts differ")
+        return twin
 
     def _scan_worlds(self) -> set:
         """Distinct full-family value patterns, one pass over the worlds.
@@ -163,8 +170,6 @@ class MemberTable:
         cached = self._groups.get(subset)
         if cached is not None:
             return cached
-        if self._distinct is None:
-            self._distinct = self._scan_worlds()
         seen = set()
         for full in self._distinct:
             pattern = tuple(full[i] for i in subset)
@@ -174,37 +179,32 @@ class MemberTable:
         self._groups[subset] = ordered
         return ordered
 
-    def hull_rows(self, subset: tuple, substitutes: Optional[Sequence] = None):
-        """Constituent points of the subfamily; voids carry the assessed
-        value (or an explicit substitute)."""
-        subs = (
-            [self.values[i] for i in subset]
-            if substitutes is None
-            else list(substitutes)
-        )
-        rows = []
-        for pattern in self.patterns(subset):
-            rows.append(
-                tuple(
-                    subs[k] if entry is None else entry
-                    for k, entry in enumerate(pattern)
-                )
-            )
-        return rows
+    def hull_rows(self, subset: tuple, patterns: Optional[Sequence] = None):
+        """Constituent points of the subfamily, or of a selection of its
+        patterns; voids carry the assessed value."""
+        subs = [self.values[i] for i in subset]
+        if patterns is None:
+            patterns = self.patterns(subset)
+        return [
+            tuple(s if entry is None else entry for s, entry in zip(subs, pattern))
+            for pattern in patterns
+        ]
 
-    def subfamily_hull(self, subset: tuple):
-        """One round on the subfamily: HullOutside, or HullZeroMass whose
-        zero_mass holds the positions in subset of the members with zero
-        antecedent mass at every hull solution."""
-        rows = self.hull_rows(subset)
-        if not rows:
+    def subfamily_hull(self, subset: tuple, patterns: Optional[Sequence] = None):
+        """One round on the subfamily (or on a selection of its patterns):
+        HullOutside, or HullZeroMass whose zero_mass holds the positions
+        in subset of the members with zero antecedent mass at every hull
+        solution."""
+        if patterns is None:
+            patterns = self.patterns(subset)
+        if not patterns:
             raise CoherenceError("subfamily has no effective constituent")
         point = tuple(self.values[i] for i in subset)
         effective = [
             [k for k, entry in enumerate(pattern) if entry is not None]
-            for pattern in self.patterns(subset)
+            for pattern in patterns
         ]
-        return hull_zero_mass(rows, point, effective)
+        return hull_zero_mass(self.hull_rows(subset, patterns), point, effective)
 
 
 def check_coherence_members(members, values) -> CoherenceVerdict:
@@ -214,7 +214,10 @@ def check_coherence_members(members, values) -> CoherenceVerdict:
     zero-antecedent-mass members; an incoherent verdict reports the
     support of the separating stakes within the failing round, on which
     they are a Dutch book."""
-    table = MemberTable(members, values)
+    return _gilio_check(MemberTable(members, values))
+
+
+def _gilio_check(table: MemberTable) -> CoherenceVerdict:
     subset = tuple(range(len(table.members)))
     rounds = []
     full_weights = None
@@ -382,27 +385,66 @@ def _dominates(assessment: Assessment, candidate: tuple, universe: Universe) -> 
 class ExtensionBounds:
     """Interval of coherent values for one further object.
 
-    lower/upper are confirmed-coherent endpoint reports; the brackets
-    enclose the true endpoints, with bracket width zero exactly when the
-    endpoint is exact (always the case on the polytope route, and at
-    probed endpoints on the bisection route).
+    lower and upper are exact, each the verified optimum of an endpoint
+    LP.  rounds lists the base subfamily of each LP pair, in order.
     """
 
     lower: object
     upper: object
-    lower_bracket: tuple
-    upper_bracket: tuple
-
-    @property
-    def lower_exact(self) -> bool:
-        return self.lower_bracket[0] == self.lower_bracket[1]
-
-    @property
-    def upper_exact(self) -> bool:
-        return self.upper_bracket[0] == self.upper_bracket[1]
+    rounds: tuple
 
 
-DEFAULT_TOLERANCE = rat(1, 2**40)
+def _extension_interval(table: MemberTable) -> ExtensionBounds:
+    """Gilio's iteration for the extension of a coherent base (every
+    member of the table but the last) to the target (the last member).
+
+    Round J (at first the whole base) ranges the target's prevision
+    sum_h lambda_h t_h over lambda >= 0 on the constituents of J plus
+    the target, with unit mass where the target is non-void (the
+    Charnes-Cooper normalisation) and a fair bet on every member of J;
+    every value in that range is coherent.  Values outside it need the
+    target's mass to be zero, so the base values of J must lie in the
+    hull of the target-void constituents; if they do, the next round
+    runs on the members of J with zero mass throughout that hull.  The
+    interval is the hull of the ranges found (Biazzo & Gilio, IJAR 24,
+    2000).  At most n + 1 rounds for n base members.
+    """
+    target = len(table.members) - 1
+    subset = tuple(range(target))
+    lower = upper = None
+    rounds = []
+    while True:
+        rounds.append(subset)
+        patterns = table.patterns(subset + (target,))
+        found = linear_range(*_target_program(patterns, [table.values[i] for i in subset]))
+        if found is not None:
+            lower = found[0] if lower is None else min(lower, found[0])
+            upper = found[1] if upper is None else max(upper, found[1])
+        void = [pattern[:-1] for pattern in patterns if pattern[-1] is None]
+        if not subset or not void:
+            break
+        outcome = table.subfamily_hull(subset, void)
+        if isinstance(outcome, HullOutside):
+            break
+        subset = tuple(subset[k] for k in outcome.zero_mass)
+    if lower is None:
+        raise CoherenceError("empty extension interval for a coherent base")
+    return ExtensionBounds(lower, upper, tuple(rounds))
+
+
+def _target_program(patterns, values):
+    """linear_range arguments of one round: a column per constituent
+    pattern (the bet e_i - p_i of each effective base member, then 1 when
+    the target is non-void), right-hand side (0, ..., 0, 1), and the
+    target's value as cost (0 where it is void)."""
+    columns = []
+    costs = []
+    for pattern in patterns:
+        *base, value = pattern
+        bets = tuple(ZERO if e is None else e - p for e, p in zip(base, values))
+        columns.append(bets + (ZERO if value is None else ONE,))
+        costs.append(ZERO if value is None else value)
+    return columns, (ZERO,) * len(values) + (ONE,), costs
 
 
 class ExtensionProblem:
@@ -410,10 +452,10 @@ class ExtensionProblem:
 
     The target is a ConditionalEvent or anything exposing
     world_values(universe) -> per-world values (None when void), such as
-    an instantiated conditional random quantity.  Conditional-event
-    targets place the unknown value on their void constituents, so their
-    interval is found by rational bisection; numeric targets admit exact
-    endpoints through linear programs per subfamily.
+    an instantiated conditional random quantity.  Both kinds take the
+    same route: exact endpoint LPs by Gilio's iteration
+    (_extension_interval).  verdict: the base's check_coherence result,
+    when already known.
     """
 
     def __init__(
@@ -422,169 +464,56 @@ class ExtensionProblem:
         target,
         universe: Universe,
         cap: Optional[int] = None,
+        verdict: Optional[CoherenceVerdict] = None,
     ):
-        # every subfamily of the base is visited, so its size is capped
-        self.base_n = len(assessment.family)
+        base_n = len(assessment.family)
         limit = family_cap() if cap is None else cap
-        if self.base_n > limit:
-            raise FamilyCapError(f"base family size {self.base_n} exceeds the cap {limit}")
-        if not check_coherence(assessment, universe).coherent:
+        if base_n > limit:
+            raise FamilyCapError(f"base family size {base_n} exceeds the cap {limit}")
+        if verdict is None:
+            verdict = check_coherence(assessment, universe)
+        if not verdict.coherent:
             raise CoherenceError("base assessment is incoherent")
         self.assessment = assessment
-        self.universe = universe
         members = [world_values(ce, universe) for ce in assessment.family]
         if isinstance(target, ConditionalEvent):
             members.append(world_values(target, universe))
         else:
             members.append(tuple(target.world_values(universe)))
         self.table = MemberTable(members, list(assessment.values) + [ZERO])
-        self.target_index = self.base_n
-        # the unknown value enters the constituent points themselves
-        # whenever the target can be void while some base member is
-        # effective; only then is bisection needed
-        target_col = members[-1]
-        self.target_value_in_rows = any(
-            target_col[pos] is None
-            and any(members[i][pos] is not None for i in range(self.base_n))
-            for pos in range(len(target_col))
-        )
-        self._subsets = [
-            subset + (self.target_index,)
-            for size in range(self.base_n, -1, -1)
-            for subset in itertools.combinations(range(self.base_n), size)
-        ]
 
     def coherent_at(self, t) -> bool:
-        t = rat(t)
-        subs_values = list(self.assessment.values) + [t]
-        for subset in self._subsets:
-            rows = self.table.hull_rows(subset, [subs_values[i] for i in subset])
-            point = tuple(subs_values[i] for i in subset)
-            if isinstance(hull_membership(rows, point), HullOutside):
-                return False
-        return True
+        """Is the base plus the target at value t coherent?  Gilio's
+        check on the whole extended family."""
+        values = list(self.assessment.values) + [rat(t)]
+        return _gilio_check(self.table.revalued(values)).coherent
 
-    def exact_interval(self):
-        """Endpoint computation for numeric targets: intersect, over the
-        subfamilies, the range of the target coordinate over the base
-        polytope."""
-        lo = None
-        hi = None
-        for subset in self._subsets:
-            base_part = subset[:-1]
-            fixed = tuple(self.assessment.values[i] for i in base_part)
-            rows = []
-            scores = []
-            for pattern in self.table.patterns(subset):
-                row = []
-                for k, i in enumerate(base_part):
-                    entry = pattern[k]
-                    row.append(self.assessment.values[i] if entry is None else entry)
-                target_entry = pattern[-1]
-                if target_entry is None:
-                    # all-void patterns are excluded and stray voids send
-                    # the problem down the bisection route instead
-                    raise CoherenceError("numeric target with stray void pattern")
-                rows.append(tuple(row))
-                scores.append(target_entry)
-            bounds = polytope_range(rows, fixed, scores)
-            if bounds is None:
-                raise CoherenceError("base assessment infeasible on a subfamily")
-            blo, bhi = bounds
-            lo = blo if lo is None or blo > lo else lo
-            hi = bhi if hi is None or bhi < hi else hi
-        if lo > hi:
-            raise CoherenceError("empty extension interval for a coherent base")
-        return lo, hi
-
-    def seed(self):
-        """Some coherent target value, located by probing."""
-        for t in self._probe_values():
-            if 0 <= t <= 1 and self.coherent_at(t):
-                return t
-        raise ExtensionSeedError(
-            "no coherent extension value found by probing; "
-            "the interval may be a degenerate non-dyadic point"
-        )
-
-    def _probe_values(self):
-        seen = set()
-        probes = []
-
-        def emit(v):
-            v = rat(v)
-            if v not in seen:
-                seen.add(v)
-                probes.append(v)
-
-        emit(0)
-        emit(1)
-        for depth in range(1, 7):
-            scale = 1 << depth
-            for num in range(1, scale, 2):
-                emit(rat(num, scale))
-        vals = self.assessment.values
-        for v in vals:
-            emit(v)
-            emit(1 - v)
-        for a, b in itertools.combinations_with_replacement(vals, 2):
-            emit(a * b)
-            if 0 <= a + b - 1:
-                emit(a + b - 1)
-            if a + b <= 1:
-                emit(a + b)
-        return probes
-
-    def bisect_interval(self, tolerance=DEFAULT_TOLERANCE):
-        seed = self.seed()
-        lower_bracket = self._bisect_edge(rat(0), seed, tolerance, lower=True)
-        upper_bracket = self._bisect_edge(seed, rat(1), tolerance, lower=False)
-        return lower_bracket, upper_bracket
-
-    def _bisect_edge(self, lo, hi, tolerance, lower: bool):
-        """Shrink toward the endpoint; returns (outer, inner) for the
-        lower edge and (inner, outer) for the upper edge, inner always a
-        confirmed coherent value."""
-        if lower:
-            if self.coherent_at(lo):
-                return (lo, lo)
-            bad, good = lo, hi
-            while good - bad >= tolerance:
-                mid = (good + bad) / 2
-                if self.coherent_at(mid):
-                    good = mid
-                else:
-                    bad = mid
-            return (bad, good)
-        if self.coherent_at(hi):
-            return (hi, hi)
-        good, bad = lo, hi
-        while bad - good >= tolerance:
-            mid = (good + bad) / 2
-            if self.coherent_at(mid):
-                good = mid
-            else:
-                bad = mid
-        return (good, bad)
-
-    def bounds(self, tolerance=DEFAULT_TOLERANCE) -> ExtensionBounds:
-        if not self.target_value_in_rows:
-            lo, hi = self.exact_interval()
-            return ExtensionBounds(lo, hi, (lo, lo), (hi, hi))
-        lower_bracket, upper_bracket = self.bisect_interval(tolerance)
-        return ExtensionBounds(
-            lower_bracket[1], upper_bracket[0], lower_bracket, upper_bracket
-        )
+    def bounds(self) -> ExtensionBounds:
+        return _extension_interval(self.table)
 
 
 def extension_bounds(
     assessment: Assessment,
     target,
     universe: Universe,
-    tolerance=DEFAULT_TOLERANCE,
+    tolerance=None,
     cap: Optional[int] = None,
+    verdict: Optional[CoherenceVerdict] = None,
 ) -> ExtensionBounds:
     """Interval of values coherently extending the assessment to the
     target (a ConditionalEvent, or a numeric-valued random quantity
-    exposing world_values)."""
-    return ExtensionProblem(assessment, target, universe, cap).bounds(tolerance)
+    exposing world_values).  The endpoints are exact; tolerance is
+    accepted for older callers and ignored.  verdict: the assessment's
+    check_coherence result, when already known."""
+    return ExtensionProblem(assessment, target, universe, cap, verdict).bounds()
+
+
+def extension_bounds_members(members, values, target) -> ExtensionBounds:
+    """extension_bounds over generalized members: per-world values of the
+    base members and of the target (None when void), and the base's
+    values, which must be coherent."""
+    if not check_coherence_members(members, values).coherent:
+        raise CoherenceError("base assessment is incoherent")
+    return _extension_interval(
+        MemberTable(list(members) + [tuple(target)], list(values) + [ZERO])
+    )

@@ -541,10 +541,11 @@ def p_entails(
     exact tests therefore decide the interval.
     """
     family = tuple(family)
-    if not p_consistent(family, universe):
-        raise CompoundError("family is not p-consistent")
     ones = Assessment.build(family, [ONE] * len(family))
-    problem = ExtensionProblem(ones, target, universe, cap)
+    verdict = check_coherence(ones, universe)
+    if not verdict.coherent:
+        raise CompoundError("family is not p-consistent")
+    problem = ExtensionProblem(ones, target, universe, cap, verdict)
     return problem.coherent_at(ONE) and not problem.coherent_at(ZERO)
 
 

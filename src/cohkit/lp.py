@@ -3,9 +3,10 @@
 A dense two-phase simplex with Bland's rule; every answer is verified
 against its defining inequalities before being returned, so callers can
 rely on zero-residual witnesses and certificates.  The convex-hull
-membership test and the polytope range query used by the coherence
-engine live here as specialized entry points that keep the nonnegative
-weight variables native instead of splitting signs, beside the exact
+membership test and the range query (both ends of a linear objective,
+each proved optimal by its primal solution and a dual vector) used by
+the coherence engine live here as specialized entry points that keep
+the nonnegative variables native instead of splitting signs, beside the exact
 Euclidean projection onto a hull that the penalty dominator uses.
 """
 
@@ -541,12 +542,9 @@ def _massed(cols, column_counts):
 def _zero_mass_certificate(unique, basis, scores):
     """Duals (y, y0) of an optimal basis of max scores.w over the hull
     polytope: y.q_j + y0 = score_j on the basic columns."""
-    dim = len(unique[0])
-    equations = [list(unique[j]) + [rat(1)] for j in basis]
-    solution = solve_linear(equations, [rat(scores[j]) for j in basis], dim + 1)
-    if solution is None:
-        raise LPInternalError("optimal basis has inconsistent duals")
-    return tuple(solution[:dim]), solution[dim]
+    columns = [q + (ONE,) for q in unique]
+    solution = _basis_duals(columns, basis, [rat(s) for s in scores])
+    return tuple(solution[:-1]), solution[-1]
 
 
 def _verify_zero_mass(certificate, pts, counts, target, rest):
@@ -682,35 +680,73 @@ def solve_linear(matrix, rhs, num_vars):
     return solution
 
 
+def linear_range(columns: Sequence, rhs: Sequence, costs: Sequence):
+    """Range of costs.x over x >= 0 with sum_j x_j columns[j] = rhs.
+
+    Returns (lo, hi), or None when no such x exists.  The objective must
+    be bounded below and above on the region; the extension LPs and
+    polytope_range satisfy that through a normalising row.  The maximum
+    is the negated minimum of -costs, so both ends share phase 1.  Each
+    end is returned only after _checked_optimum has verified it.
+    """
+    cols = [tuple(rat(c) for c in col) for col in columns]
+    b = tuple(rat(v) for v in rhs)
+    c = [rat(v) for v in costs]
+    if not cols or len(c) != len(cols) or any(len(col) != len(b) for col in cols):
+        raise LPError("bad range description")
+    tab, basis, _flips, total = _phase1([list(row) for row in zip(*cols)], b)
+    if tab[-1][-1] != 0:
+        return None
+    _drive_out_artificials(tab, basis, total)
+    _strip_columns(tab, total)
+    ends = []
+    for sign in (ONE, -ONE):
+        work = [row[:] for row in tab]
+        wbasis = basis[:]
+        signed = [sign * v for v in c]
+        _set_objective(work, wbasis, signed)
+        if run_simplex(work, wbasis) != -1:
+            raise LPError("objective unbounded over the region")
+        x = _basic_solution(work, wbasis, total)
+        y = _basis_duals(cols, wbasis, signed)
+        ends.append(sign * _checked_optimum(cols, b, signed, x, y))
+    return ends[0], ends[1]
+
+
+def _basis_duals(cols, basis, costs):
+    """Duals y of an optimal basis: y.cols[j] = costs[j] on its columns."""
+    duals = solve_linear(
+        [cols[j] for j in basis], [costs[j] for j in basis], len(cols[0])
+    )
+    if duals is None:
+        raise LPInternalError("optimal basis has inconsistent duals")
+    return duals
+
+
+def _checked_optimum(cols, b, costs, x, y):
+    """costs.x, once x and y are verified to prove it the minimum: x >= 0
+    and sum_j x_j cols[j] = b (primal), y.cols[j] <= costs[j] for every
+    j (dual), and y.b = costs.x (equal values)."""
+    if any(v < 0 for v in x):
+        raise LPInternalError("negative primal value")
+    if _combine(x, cols) != b:
+        raise LPInternalError("primal solution fails exact feasibility")
+    if any(_dot(y, col) > cost for col, cost in zip(cols, costs)):
+        raise LPInternalError("duals fail exact dual feasibility")
+    value = _dot(costs, x)
+    if _dot(y, b) != value:
+        raise LPInternalError("primal and dual values differ")
+    return value
+
+
 def polytope_range(points: Sequence, fixed: Sequence, scores: Sequence):
     """Range of sum(w s_h) over w >= 0, sum w = 1, sum(w q_h) = fixed.
 
     points: rows q_h (possibly empty tuples when fixed is empty); scores:
-    one value per row.  Returns (lo, hi) or None when the polytope is
-    empty.
+    one value per row.  Returns (lo, hi), verified by linear_range, or
+    None when the polytope is empty.
     """
-    pts = [tuple(rat(c) for c in q) for q in points]
-    vals = [rat(s) for s in scores]
-    target = tuple(rat(c) for c in fixed)
-    dim = len(target)
-    if not pts or any(len(q) != dim for q in pts):
+    target = tuple(fixed) + (ONE,)
+    if not points or any(len(q) != len(fixed) for q in points):
         raise LPError("bad polytope description")
-
-    tab, basis, flips, total = _weights_phase1(pts, target)
-    width = len(tab[0])
-    if tab[-1][width - 1] < 0:
-        return None
-    _drive_out_artificials(tab, basis, total)
-    _strip_columns(tab, total)
-
-    bounds = []
-    for sign in (rat(1), rat(-1)):
-        work = [row[:] for row in tab]
-        wbasis = basis[:]
-        _set_objective(work, wbasis, [sign * v for v in vals])
-        if run_simplex(work, wbasis) != -1:
-            raise LPInternalError("bounded polytope reported unbounded")
-        cols = _basic_solution(work, wbasis, total)
-        value = sum((w * v for w, v in zip(cols, vals)), rat(0))
-        bounds.append(value)
-    return bounds[0], bounds[1]
+    return linear_range([tuple(q) + (ONE,) for q in points], target, scores)

@@ -152,19 +152,18 @@ def compute_interval_row(
     connective: str,
     logic: str,
     step,
-    tolerance,
     universe=None,
     confirm_endpoints: bool = True,
 ) -> IntervalRow:
     """Sweep of one operator over the grid, with closed-form comparison
-    and exact hull confirmation of the closed-form endpoints."""
+    and exact coherence checks of the closed-form endpoints."""
     u = free_universe() if universe is None else universe
     row = IntervalRow(connective, logic)
     values = grid_values(step)
     for x in values:
         for y in values:
             problem = _interval_problem(x, y, connective, logic, u)
-            bounds = problem.bounds(tolerance)
+            bounds = problem.bounds()
             closed = closed_form_interval(connective, logic, x, y)
             if confirm_endpoints:
                 if not (
@@ -175,10 +174,10 @@ def compute_interval_row(
     return row
 
 
-def compute_intervals(step, tolerance, confirm_endpoints: bool = True) -> list:
+def compute_intervals(step, confirm_endpoints: bool = True) -> list:
     u = free_universe()
     return [
-        compute_interval_row(c, l, step, tolerance, u, confirm_endpoints)
+        compute_interval_row(c, l, step, u, confirm_endpoints)
         for c, l in OPERATORS
     ]
 
@@ -297,14 +296,14 @@ def _p5_star(logic: str, interval_rows, step, tolerance) -> StarCell:
             z_candidates = {cell.computed.lower, cell.computed.upper}
         except KeyError:
             probe = _interval_problem(x, y, "and", logic, u)
-            bounds = probe.bounds(tolerance)
+            bounds = probe.bounds()
             z_candidates = {bounds.lower, bounds.upper}
         conj_ce = trivalent_and(logic, ah, bk, u)
         disj_ce = trivalent_or(logic, ah, bk, u)
         for z in z_candidates:
             base = Assessment.build([ah, bk, conj_ce], [x, y, z])
             problem = ExtensionProblem(base, disj_ce, u)
-            w_bounds = problem.bounds(tolerance)
+            w_bounds = problem.bounds()
             for w in (w_bounds.lower, w_bounds.upper):
                 if w != x + y - z:
                     return StarCell(
@@ -355,7 +354,7 @@ def _p6_half_star(connective: str, logic: str, interval_rows, tolerance) -> Star
 def compute_star_table(step, tolerance, interval_rows=None) -> dict:
     """Property-satisfaction matrix: {(property, logic): StarCell}."""
     if interval_rows is None:
-        interval_rows = compute_intervals(step, tolerance, confirm_endpoints=False)
+        interval_rows = compute_intervals(step, confirm_endpoints=False)
     table = {}
     for logic in LOGICS:
         for prop in ("P1", "P2a", "P2b", "P2c", "P3"):

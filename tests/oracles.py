@@ -9,6 +9,11 @@ The all-subfamily check is the coherence test cohkit used before
 Gilio's iteration: one hull LP for every nonempty subfamily, smallest
 first, on constituent points it builds itself from a per-world scan.
 
+The bisection oracle brackets the ends of a coherent-extension interval
+the way cohkit did before its exact endpoint LPs: from a coherent seed
+value it halves towards 0 and towards 1, deciding each value by the
+all-subfamily check on the base plus the target at that value.
+
 The projection oracle finds the point of a hull nearest to p by trying
 every subset of the points: the projection onto the subset's affine hull
 counts when its coefficients are nonnegative, and the nearest one wins.
@@ -105,15 +110,65 @@ def _subsets_in_order(n):
         yield from itertools.combinations(range(n), size)
 
 
-def all_subfamily_check(members, values):
+def all_subfamily_check(members, values, subsets=None):
     """(coherent, first failing subfamily, its separator) from the hull
-    test of every nonempty subfamily, smallest first."""
-    for subset in _subsets_in_order(len(members)):
+    test of every nonempty subfamily, smallest first (or of the given
+    subfamilies, in their order)."""
+    if subsets is None:
+        subsets = _subsets_in_order(len(members))
+    for subset in subsets:
         point = tuple(values[i] for i in subset)
         outcome = hull_membership(subfamily_points(members, values, subset), point)
         if isinstance(outcome, HullOutside):
             return False, subset, outcome.separator
     return True, None, None
+
+
+def extension_oracle(members, values, target):
+    """coherent_at(t): does the coherent base (members, values) stay
+    coherent with the target member at value t, by all_subfamily_check?"""
+    if not all_subfamily_check(members, values)[0]:
+        raise ValueError("the base is not coherent")
+    family = list(members) + [target]
+    # the base's own subfamilies pass, so only those with the target count
+    with_target = [s for s in _subsets_in_order(len(family)) if len(members) in s]
+    verdicts = {}
+
+    def coherent_at(t):
+        if t not in verdicts:
+            verdicts[t] = all_subfamily_check(family, list(values) + [t], with_target)[0]
+        return verdicts[t]
+
+    return coherent_at
+
+
+def bisection_brackets(coherent_at, seed, tolerance):
+    """Brackets of a coherent-extension interval (coherent_at from
+    extension_oracle), searched in [0, 1] from the coherent value seed.
+    Returns ((outer, inner), (inner, outer)) for the lower and upper end:
+    inner values are coherent, outer ones are not (or equal inner at 0
+    and 1), and each bracket is narrower than tolerance.
+    """
+    if not coherent_at(seed):
+        raise ValueError("the seed value is not coherent")
+    lower = _bisect_edge(coherent_at, Fraction(0), seed, tolerance)
+    upper = _bisect_edge(coherent_at, Fraction(1), seed, tolerance)
+    return lower, upper[::-1]
+
+
+def _bisect_edge(coherent_at, end, good, tolerance):
+    """(outer, inner) around the interval's end between good (coherent)
+    and end."""
+    if coherent_at(end):
+        return end, end
+    bad = end
+    while abs(good - bad) >= tolerance:
+        mid = (good + bad) / 2
+        if coherent_at(mid):
+            good = mid
+        else:
+            bad = mid
+    return bad, good
 
 
 def _dot(u, v):

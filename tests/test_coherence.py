@@ -22,6 +22,8 @@ from cohkit.lp import HullInside, HullOutside, polytope_range
 from cohkit.rationals import rat
 from cohkit.trivalent import ConditionalEvent, free_universe
 
+from oracles import bisection_brackets, extension_oracle
+
 A, B, H, K = Atom("A"), Atom("B"), Atom("H"), Atom("K")
 AH = ConditionalEvent(A, H)
 BK = ConditionalEvent(B, K)
@@ -394,43 +396,48 @@ def test_negation_symmetry():
 
 
 def test_exact_and_bisection_routes_agree():
-    # targets eligible for exact endpoints, re-solved by forced bisection
+    # a numeric and a conditional-event target, each bracketed by the
+    # bisection oracle to 2^-40 around its exact endpoints
     from cohkit.compound import gs_and
-    from cohkit.rationals import rat as R
     from cohkit.trivalent import trivalent_and
 
     u = free_universe()
     tol = rat(1, 2**40)
     rng = random.Random(31)
+    members = [world_values(AH, u), world_values(BK, u)]
     for _ in range(6):
-        x = R(rng.randint(0, 8), 8)
-        y = R(rng.randint(0, 8), 8)
+        x = rat(rng.randint(0, 8), 8)
+        y = rat(rng.randint(0, 8), 8)
         base = Assessment.build([AH, BK], [x, y])
-        for target in (
-            gs_and(AH, BK, x, y, u, check=False),
-            trivalent_and("S", AH, BK, u),
+        conj = gs_and(AH, BK, x, y, u, check=False)
+        event = trivalent_and("S", AH, BK, u)
+        for target, target_values in (
+            (conj, conj.world_values(u)),
+            (event, world_values(event, u)),
         ):
-            problem = ExtensionProblem(base, target, u)
-            assert not problem.target_value_in_rows
-            exact_lo, exact_hi = problem.exact_interval()
-            lower_bracket, upper_bracket = problem.bisect_interval(tol)
-            assert lower_bracket[0] <= exact_lo <= lower_bracket[1]
-            assert upper_bracket[0] <= exact_hi <= upper_bracket[1]
-            assert lower_bracket[1] - lower_bracket[0] < tol
-            assert upper_bracket[1] - upper_bracket[0] < tol
+            bounds = extension_bounds(base, target, u)
+            seed = (bounds.lower + bounds.upper) / 2
+            coherent_at = extension_oracle(members, [x, y], target_values)
+            lower, upper = bisection_brackets(coherent_at, seed, tol)
+            assert lower[0] <= bounds.lower <= lower[1]
+            assert upper[0] <= bounds.upper <= upper[1]
 
 
-def test_extension_problem_seed_probes_products():
-    # the chain identity pins the target to x*y, reachable only through
-    # the value-derived probes
+def test_extension_problem_pins_chain_product():
+    # the chain identity pins the target to x*y
     u = Universe(["E", "H", "K"])
     E = Atom("E")
     inner = ConditionalEvent(E, H & K)
     outer = ConditionalEvent(H, K)
+    target = ConditionalEvent(E & H, K)
     x, y = rat(3, 7), rat(2, 5)
     base = Assessment.build([inner, outer], [x, y])
-    problem = ExtensionProblem(base, ConditionalEvent(E & H, K), u)
+    problem = ExtensionProblem(base, target, u)
     assert problem.coherent_at(x * y)
     assert not problem.coherent_at(x * y + rat(1, 97))
     bounds = problem.bounds()
     assert bounds.lower == bounds.upper == x * y
+    members = [world_values(ce, u) for ce in (inner, outer)]
+    coherent_at = extension_oracle(members, [x, y], world_values(target, u))
+    lower, upper = bisection_brackets(coherent_at, x * y, rat(1, 2**20))
+    assert lower[1] == upper[0] == x * y

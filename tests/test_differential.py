@@ -93,10 +93,19 @@ def _compound_members(rng, names, universe, masses):
 
 
 def random_family(rng):
+    _, _, members, values, _ = random_setting(rng)
+    return members, values
+
+
+def random_setting(rng):
+    """Atom names, universe, members and values of one random family, and
+    whether its first three members are the compound conjunction system
+    of two conditionals."""
     names, universe = _universe(rng)
     masses = _distribution(rng, universe) if rng.random() < 0.6 else None
     members, values = [], []
-    if rng.random() < 0.25:
+    compound = rng.random() < 0.25
+    if compound:
         members, values = _compound_members(rng, names, universe, masses)
     for _ in range(rng.randint(2, 5) - len(members) // 2):
         _ce, member = _event(rng, names, universe)
@@ -105,7 +114,7 @@ def random_family(rng):
         values.append(rng.choice(GRID) if value is None else value)
     if masses is None or rng.random() < 0.4:
         values[rng.randrange(len(values))] = rng.choice(GRID)
-    return members, values
+    return names, universe, members, values, compound
 
 
 def _check_witness(members, values, verdict):

@@ -1,0 +1,108 @@
+"""Exact coherent-extension endpoints against the bisection oracle.
+
+Bases and targets come from the differential generators: plain
+conditional events and compound conjunctions over 3-5 atoms, some with
+constraints and zero-mass antecedents.  Every exact endpoint must be
+coherent by the all-subfamily check and lie inside the oracle's
+brackets.
+"""
+
+import random
+
+import pytest
+
+import cohkit.lp as lp
+from cohkit.coherence import (
+    Assessment,
+    check_coherence_members,
+    extension_bounds,
+    extension_bounds_members,
+)
+from cohkit.events import Atom, TOP, Universe
+from cohkit.rationals import rat
+from cohkit.trivalent import ConditionalEvent
+
+from oracles import bisection_brackets, extension_oracle
+from test_differential import _event, random_setting
+
+BASES = 300
+TOLERANCE = rat(1, 2**6)
+A, H = Atom("A"), Atom("H")
+
+
+def _extension_case(rng):
+    """A coherent base and a target member: a fresh conditional event,
+    a copy of a base member, or the compound conjunction of the first
+    two members when the family has one."""
+    while True:
+        names, universe, members, values, compound = random_setting(rng)
+        draw = rng.random()
+        if compound and draw < 0.5:
+            # a compound member: its per-world values read only the
+            # previsions of the first two members, which stay in the base
+            target = members.pop(2)
+            values.pop(2)
+        elif draw < 0.15:
+            target = members[rng.randrange(len(members))]
+        else:
+            target = _event(rng, names, universe)[1]
+        # the oracle's cost doubles with each member, so bases stop at 5
+        if 0 < len(members) <= 5 and check_coherence_members(members, values).coherent:
+            return members, values, target
+
+
+def test_exact_endpoints_inside_bisection_brackets():
+    rng = random.Random(20000125)
+    deep = 0
+    for _ in range(BASES):
+        members, values, target = _extension_case(rng)
+        bounds = extension_bounds_members(members, values, target)
+        case = (members, values, target, bounds)
+        coherent_at = extension_oracle(members, values, target)
+        assert coherent_at(bounds.lower) and coherent_at(bounds.upper), case
+        seed = (bounds.lower + bounds.upper) / 2
+        lower, upper = bisection_brackets(coherent_at, seed, TOLERANCE)
+        assert lower[0] <= bounds.lower <= lower[1], case
+        assert upper[0] <= bounds.upper <= upper[1], case
+        deep += len(bounds.rounds) > 1
+    # the draw reaches past the first round (zero-mass target-void hulls)
+    assert deep >= 10, deep
+
+
+@pytest.mark.parametrize(
+    "y, z",
+    [(rat(3, 5), rat(1, 5)), (rat(7, 10), rat(1, 2)), (rat(5, 6), rat(1, 3)), (rat(3, 7), rat(2, 7))],
+)
+def test_ratio_forced_bases(y, z):
+    # H = y and A & H = z force A|H to the non-dyadic z / y
+    u = Universe(["A", "H"])
+    base = Assessment.build([ConditionalEvent(H, TOP), ConditionalEvent(A & H, TOP)], [y, z])
+    bounds = extension_bounds(base, ConditionalEvent(A, H), u)
+    assert (bounds.lower, bounds.upper) == (z / y, z / y)
+
+
+def _corrupt_duals(monkeypatch, corrupt):
+    original = lp._basis_duals
+
+    def corrupted(cols, basis, costs):
+        return corrupt(original(cols, basis, costs))
+
+    monkeypatch.setattr(lp, "_basis_duals", corrupted)
+
+
+def test_corrupted_dual_value_raises(monkeypatch):
+    # lowering the normalisation row's dual keeps y dual feasible (that
+    # row's entries are 0 or 1) but takes y.b below c.x
+    _corrupt_duals(monkeypatch, lambda y: y[:-1] + [y[-1] - rat(1, 97)])
+    u = Universe(["A", "H"])
+    base = Assessment.build([ConditionalEvent(H, TOP)], [rat(1, 2)])
+    with pytest.raises(lp.LPInternalError, match="values differ"):
+        extension_bounds(base, ConditionalEvent(A, H), u)
+
+
+def test_corrupted_dual_feasibility_raises(monkeypatch):
+    # on the segment [0, 1] at 1/2 the minimum's duals are y = (1, 0);
+    # (1 + d, -d/2) keeps y.b = 1/2 but prices the point 1 above its cost
+    _corrupt_duals(monkeypatch, lambda y: [y[0] + rat(1, 5), y[1] - rat(1, 10)])
+    with pytest.raises(lp.LPInternalError, match="dual feasibility"):
+        lp.polytope_range([(0,), (1,)], (rat(1, 2),), [0, 1])
