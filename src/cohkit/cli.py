@@ -19,7 +19,7 @@ from .coherence import (
     extension_bounds,
     random_gain,
 )
-from .compound import CompoundError, p_consistent, p_entails, p_entails_absorption
+from .compound import CompoundError, p_entails, p_entails_absorption
 from .events import EventError, enumerate_constituents
 from .fileio import FileFormatError, parse_assessment_file
 from .lp import kernel_name
@@ -197,13 +197,16 @@ def cmd_entails(args) -> int:
     report.add("target", target_name)
     family = [doc.events[n] for n in premises]
     target = doc.events[target_name]
-    consistent = p_consistent(family, doc.universe)
-    report.add("p-consistent", consistent)
-    if not consistent:
+    # p-consistency is the coherence of the all-ones assessment, which
+    # both characterizations start from
+    ones = Assessment.build(family, [rat(1)] * len(family))
+    verdict = check_coherence(ones, doc.universe)
+    report.add("p-consistent", verdict.coherent)
+    if not verdict.coherent:
         print(render(report), end="")
         raise CompoundError("premise family is not p-consistent")
-    entails = p_entails(family, target, doc.universe)
-    absorption = p_entails_absorption(family, target, doc.universe)
+    entails = p_entails(family, target, doc.universe, verdict=verdict)
+    absorption = p_entails_absorption(family, target, doc.universe, verdict=verdict)
     report.add("p-entails", entails)
     report.add("absorption-check", absorption)
     report.add("characterizations-agree", entails == absorption)

@@ -22,6 +22,7 @@ from typing import Mapping, Optional, Sequence
 
 from .coherence import (
     Assessment,
+    CoherenceVerdict,
     ExtensionProblem,
     check_coherence,
     check_coherence_members,
@@ -531,6 +532,7 @@ def p_entails(
     target: ConditionalEvent,
     universe: Universe,
     cap: Optional[int] = None,
+    verdict: Optional[CoherenceVerdict] = None,
 ) -> bool:
     """Probability one on the family forces probability one on the target.
 
@@ -538,11 +540,13 @@ def p_entails(
     or [0, 1]: hull mass is pinned to constituents where no member fails,
     so the target value is either free (some such constituent leaves the
     target void), or spans the hull of plain 0/1 indicator values.  Two
-    exact tests therefore decide the interval.
+    exact tests therefore decide the interval.  verdict: the all-ones
+    assessment's check_coherence result, when already known.
     """
     family = tuple(family)
     ones = Assessment.build(family, [ONE] * len(family))
-    verdict = check_coherence(ones, universe)
+    if verdict is None:
+        verdict = check_coherence(ones, universe)
     if not verdict.coherent:
         raise CompoundError("family is not p-consistent")
     problem = ExtensionProblem(ones, target, universe, cap, verdict)
@@ -550,7 +554,10 @@ def p_entails(
 
 
 def p_entails_absorption(
-    family: Sequence[ConditionalEvent], target: ConditionalEvent, universe: Universe
+    family: Sequence[ConditionalEvent],
+    target: ConditionalEvent,
+    universe: Universe,
+    verdict: Optional[CoherenceVerdict] = None,
 ) -> bool:
     """Conjunction-absorption characterization of p-entailment.
 
@@ -562,10 +569,12 @@ def p_entails_absorption(
     joint system admits, so the coherent t values are found through the
     joint system and the maps are compared there.  Note that a target
     failing only where some premise fails is not enough: it may still be
-    coherently assessed below one through a vacuous antecedent.
+    coherently assessed below one through a vacuous antecedent.  verdict:
+    the all-ones assessment's check_coherence result, when already known.
     """
     family = tuple(family)
-    if not p_consistent(family, universe):
+    consistent = p_consistent(family, universe) if verdict is None else verdict.coherent
+    if not consistent:
         raise CompoundError("family is not p-consistent")
     n = len(family)
     everything = family + (target,)

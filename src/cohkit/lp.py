@@ -1,18 +1,26 @@
 """Exact rational linear programming.
 
-A dense two-phase simplex with Bland's rule; every answer is verified
-against its defining inequalities before being returned, so callers can
-rely on zero-residual witnesses and certificates.  The convex-hull
-membership test and the range query (both ends of a linear objective,
-each proved optimal by its primal solution and a dual vector) used by
-the coherence engine live here as specialized entry points that keep
-the nonnegative variables native instead of splitting signs, beside the exact
-Euclidean projection onto a hull that the penalty dominator uses.
+A dense two-phase simplex with Bland's rule on integer rows: row i of a
+tableau is a list of Python ints standing for that list over dens[i], a
+positive denominator, kept in lowest terms.  A pivot cross-multiplies
+integers and divides each row by one gcd (fraction-free elimination,
+after Edmonds and Bareiss), the ratio test compares integer products,
+and rationals are built only for the basic values and duals handed
+back; the exact linear solves share these rows.  Every answer is
+verified in rationals against its defining inequalities before being
+returned, so callers can rely on zero-residual witnesses and
+certificates.  The convex-hull membership test and the range query
+(both ends of a linear objective, each proved optimal by its primal
+solution and a dual vector) used by the coherence engine live here as
+specialized entry points that keep the nonnegative variables native
+instead of splitting signs, beside the exact Euclidean projection onto
+a hull that the penalty dominator uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .rationals import ONE, ZERO, rat
@@ -32,56 +40,88 @@ class LPInternalError(LPError):
 
 
 def kernel_name() -> str:
-    return "pure-python"
+    return "integer-rows"
 
 
-def _pivot(rows, r, c):
+def _integer_row(values):
+    """(ints, d) with ints[j] / d == values[j]: d is the lcm of the
+    entries' denominators, the one positive d with gcd(d, *ints) == 1."""
+    nums = [int(v.numerator) for v in values]
+    dens = [int(v.denominator) for v in values]
+    d = lcm(*dens)
+    if d == 1:
+        return nums, 1
+    return [a * (d // e) for a, e in zip(nums, dens)], d
+
+
+def _reduced(row, d):
+    """row / d in lowest terms: both divided by gcd(d, *row)."""
+    g = gcd(d, *row)
+    if g == 1:
+        return row, d
+    return [v // g for v in row], d // g
+
+
+def _pivot(rows, dens, r, c):
     """Scale row r to a unit entry in column c and clear column c from
-    every other row (the last row included)."""
-    pivot_row = rows[r]
-    factor = pivot_row[c]
-    if factor != 1:
-        pivot_row[:] = [v / factor for v in pivot_row]
+    every other row (the last row included).
+
+    Row i stands for rows[i] / dens[i].  The pivot row becomes itself
+    over its pivot entry, sign-fixed so that dens stays positive; row i
+    becomes (rows[i] * p - a_i * pivot_row) / (dens[i] * p), where p is
+    the new pivot row's denominator (its pivot entry) and a_i = rows[i][c].
+    Every row is replaced, never mutated, and left in lowest terms.
+    """
+    prow = rows[r]
+    p = prow[c]
+    if p < 0:
+        prow = [-v for v in prow]
+        p = -p
+    prow, p = _reduced(prow, p)
+    rows[r] = prow
+    dens[r] = p
     for i, row in enumerate(rows):
-        if i != r:
-            coeff = row[c]
-            if coeff != 0:
-                row[:] = [a - coeff * b if b else a for a, b in zip(row, pivot_row)]
+        a = row[c]
+        if a and i != r:
+            rows[i], dens[i] = _reduced(
+                [x * p - a * y for x, y in zip(row, prow)], dens[i] * p
+            )
 
 
-def run_simplex(tableau, basis):
+def run_simplex(tableau, dens, basis):
     """Pivot with Bland's rule until optimal or unbounded.
 
-    tableau: (m+1) x (n+1) rows of exact rationals, the reduced-cost row
-    of a minimization last and the right-hand side column last, with
+    tableau: (m+1) x (n+1) rows of ints, row i standing for the rational
+    row tableau[i] / dens[i] (dens positive), the reduced-cost row of a
+    minimization last and the right-hand side column last, with
     nonnegative right-hand sides on the constraint rows.  basis: the m
-    basic column indices, updated in place.  Bland's rule in both the
+    basic column indices, updated in place.  A row's signs and its
+    ratio rhs / entry do not depend on its positive denominator, so the
+    ratio test cross-multiplies integers.  Bland's rule in both the
     entering and the leaving choice guarantees termination.  Returns -1
     at optimality, else the entering column proving unboundedness.
     """
     m = len(tableau) - 1
     rhs = len(tableau[0]) - 1
-    obj = tableau[m]
     while True:
+        obj = tableau[m]
         enter = next((j for j in range(rhs) if obj[j] < 0), -1)
         if enter < 0:
             return -1
         leave = -1
-        best = None
         for i in range(m):
-            a = tableau[i][enter]
+            row = tableau[i]
+            a = row[enter]
             if a > 0:
-                ratio = tableau[i][rhs] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
+                if leave < 0:
+                    leave, best_b, best_a = i, row[rhs], a
+                    continue
+                lhs, rhs_best = row[rhs] * best_a, best_b * a
+                if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leave]):
+                    leave, best_b, best_a = i, row[rhs], a
         if leave < 0:
             return enter
-        _pivot(tableau, leave, enter)
+        _pivot(tableau, dens, leave, enter)
         basis[leave] = enter
 
 
@@ -151,63 +191,64 @@ class Unbounded:
 def _phase1(rows, rhs_col):
     """Set up and run phase 1 on equality rows; returns tableau pieces.
 
-    rows: list of coefficient lists (equalities), rhs_col: list of right
-    hand sides.  Rows are sign-fixed to nonnegative rhs; artificials are
-    appended.  Returns (tableau, basis, flips, ncols) after the phase-1
-    run, with the objective row expressing sum of artificials.
+    rows: list of rational coefficient lists (equalities), rhs_col: list
+    of right hand sides.  Each row becomes ints over its lcm denominator,
+    sign-fixed to a nonnegative rhs, with an artificial column appended.
+    Returns (tableau, dens, basis, flips, ncols) after the phase-1 run,
+    with the objective row expressing sum of artificials.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     flips = []
     tab = []
+    dens = []
     for i in range(m):
-        coeffs = list(rows[i])
-        b = rhs_col[i]
-        if b < 0:
-            coeffs = [-c for c in coeffs]
-            b = -b
-            flips.append(True)
-        else:
-            flips.append(False)
-        row = coeffs + [rat(0)] * m + [b]
-        row[n + i] = rat(1)
+        row, d = _integer_row(list(rows[i]) + [rhs_col[i]])
+        flip = row[-1] < 0
+        if flip:
+            row = [-v for v in row]
+        flips.append(flip)
+        row[n:n] = [0] * m
+        row[n + i] = d
         tab.append(row)
-    obj = [rat(0)] * (n + m + 1)
-    for i in range(m):
-        row = tab[i]
-        for j in range(n + m + 1):
-            obj[j] -= row[j]
-    for i in range(m):
-        obj[n + i] = rat(0)
+        dens.append(d)
+    # minus the sum of the rows, over their common denominator
+    common = lcm(*dens)
+    obj = [0] * (n + m + 1)
+    for row, d in zip(tab, dens):
+        scale = common // d
+        obj = [o - scale * v for o, v in zip(obj, row)]
+    obj[n : n + m] = [0] * m
+    obj, d = _reduced(obj, common)
     tab.append(obj)
+    dens.append(d)
     basis = [n + i for i in range(m)]
-    result = run_simplex(tab, basis)
+    result = run_simplex(tab, dens, basis)
     if result != -1:
         raise LPInternalError("phase 1 cannot be unbounded")
-    return tab, basis, flips, n
+    return tab, dens, basis, flips, n
 
 
-def _basic_solution(tab, basis, n):
-    width = len(tab[0])
-    x = [rat(0)] * n
+def _basic_solution(tab, dens, basis, n):
+    x = [ZERO] * n
     for i, col in enumerate(basis):
         if col < n:
-            x[col] = tab[i][width - 1]
+            x[col] = rat(tab[i][-1], dens[i])
     return x
 
 
-def _phase1_duals(tab, flips, n):
+def _phase1_duals(tab, dens, flips, n):
     """Duals y_i = 1 - reduced cost of artificial column i, unflipped."""
-    m = len(tab) - 1
-    obj = tab[m]
+    obj = tab[-1]
+    d = dens[-1]
     duals = []
-    for i in range(m):
-        y = rat(1) - obj[n + i]
-        duals.append(-y if flips[i] else y)
+    for i, flip in enumerate(flips):
+        y = rat(d - obj[n + i], d)
+        duals.append(-y if flip else y)
     return duals
 
 
-def _drive_out_artificials(tab, basis, n):
+def _drive_out_artificials(tab, dens, basis, n):
     """Pivot basic artificials out; drop rows that are fully redundant."""
     drop = []
     for i in range(len(tab) - 1):
@@ -217,30 +258,36 @@ def _drive_out_artificials(tab, basis, n):
         if pivot_col < 0:
             drop.append(i)
             continue
-        _pivot(tab, i, pivot_col)
+        _pivot(tab, dens, i, pivot_col)
         basis[i] = pivot_col
     for i in reversed(drop):
         del tab[i]
+        del dens[i]
         del basis[i]
 
 
-def _strip_columns(tab, keep_width):
-    for row in tab:
+def _strip_columns(tab, dens, keep_width):
+    """Drop the columns from keep_width up to the rhs, then bring each
+    row back to lowest terms."""
+    for i, row in enumerate(tab):
         del row[keep_width:-1]
+        tab[i], dens[i] = _reduced(row, dens[i])
 
 
-def _set_objective(tab, basis, costs):
-    """Install the reduced-cost row of min costs.x on a feasible basis."""
+def _set_objective(tab, dens, basis, costs):
+    """Install the reduced-cost row of min costs.x on a feasible basis.
+
+    Basic column col of row i holds dens[i], so clearing it from obj / d
+    leaves (obj * dens[i] - obj[col] * row) / (d * dens[i])."""
     width = len(tab[0])
-    obj = [rat(0)] * width
-    obj[: len(costs)] = costs
+    obj, d = _integer_row(list(costs) + [0] * (width - len(costs)))
     for i, col in enumerate(basis):
         coeff = obj[col]
-        if coeff != 0:
-            row = tab[i]
-            for j in range(width):
-                obj[j] = obj[j] - coeff * row[j]
+        if coeff:
+            di = dens[i]
+            obj, d = _reduced([a * di - coeff * b for a, b in zip(obj, tab[i])], d * di)
     tab[-1] = obj
+    dens[-1] = d
 
 
 def solve(lp: LinearProgram):
@@ -274,17 +321,16 @@ def solve(lp: LinearProgram):
             return Unbounded(_verify_ray(lp, _objective_ray(lp)))
         return Optimal(rat(0), zero)
 
-    tab, basis, flips, total = _phase1(rows, rhs_col)
-    width = len(tab[0])
-    if tab[-1][width - 1] < 0:
-        duals = _phase1_duals(tab, flips, total)
+    tab, dens, basis, flips, total = _phase1(rows, rhs_col)
+    if tab[-1][-1] < 0:
+        duals = _phase1_duals(tab, dens, flips, total)
         return Infeasible(_verify_certificate(lp, duals))
 
-    _drive_out_artificials(tab, basis, total)
-    _strip_columns(tab, total)
+    _drive_out_artificials(tab, dens, basis, total)
+    _strip_columns(tab, dens, total)
 
     if lp.objective is None:
-        x = _split_solution(_basic_solution(tab, basis, total), n)
+        x = _split_solution(_basic_solution(tab, dens, basis, total), n)
         _verify_feasible(lp, x)
         return Feasible(tuple(x))
 
@@ -293,12 +339,12 @@ def solve(lp: LinearProgram):
     for j, c in enumerate(lp.objective):
         costs[2 * j] = sign * c
         costs[2 * j + 1] = -sign * c
-    _set_objective(tab, basis, costs)
-    result = run_simplex(tab, basis)
+    _set_objective(tab, dens, basis, costs)
+    result = run_simplex(tab, dens, basis)
     if result != -1:
-        ray = _ray_from_tableau(tab, basis, result, total, n)
+        ray = _ray_from_tableau(tab, dens, basis, result, total, n)
         return Unbounded(_verify_ray(lp, ray))
-    x = _split_solution(_basic_solution(tab, basis, total), n)
+    x = _split_solution(_basic_solution(tab, dens, basis, total), n)
     _verify_feasible(lp, x)
     value = sum((c * xi for c, xi in zip(lp.objective, x)), rat(0))
     return Optimal(value, tuple(x))
@@ -313,13 +359,12 @@ def _objective_ray(lp):
     return [sign * c for c in lp.objective]
 
 
-def _ray_from_tableau(tab, basis, enter, total, n):
+def _ray_from_tableau(tab, dens, basis, enter, total, n):
     direction = [rat(0)] * total
     direction[enter] = rat(1)
-    width = len(tab[0])
     for i, col in enumerate(basis):
         if col < total:
-            direction[col] = -tab[i][enter]
+            direction[col] = rat(-tab[i][enter], dens[i])
     return _split_solution(direction, n)
 
 
@@ -433,8 +478,8 @@ def _checked_weights(cols, origin, pts, target):
     return tuple(weights)
 
 
-def _checked_separator(tab, flips, total, pts, target):
-    duals = _phase1_duals(tab, flips, total)
+def _checked_separator(tab, dens, flips, total, pts, target):
+    duals = _phase1_duals(tab, dens, flips, total)
     separator = [-duals[i] for i in range(len(target))]
     largest = max(abs(c) for c in separator)
     if largest == 0:
@@ -458,11 +503,11 @@ def hull_membership(points: Sequence, p: Sequence):
     linear separator (both verified before returning).
     """
     pts, target, unique, origin = _hull_input(points, p)
-    tab, basis, flips, total = _weights_phase1(unique, target)
+    tab, dens, basis, flips, total = _weights_phase1(unique, target)
     if tab[-1][-1] == 0:
-        cols = _basic_solution(tab, basis, total)
+        cols = _basic_solution(tab, dens, basis, total)
         return HullInside(_checked_weights(cols, origin, pts, target))
-    return _checked_separator(tab, flips, total, pts, target)
+    return _checked_separator(tab, dens, flips, total, pts, target)
 
 
 @dataclass(frozen=True)
@@ -506,21 +551,21 @@ def hull_zero_mass(points: Sequence, p: Sequence, counts: Sequence):
     for q, cs in zip(pts, counts):
         column_counts[index[q]].update(cs)
 
-    tab, basis, flips, total = _weights_phase1(unique, target)
+    tab, dens, basis, flips, total = _weights_phase1(unique, target)
     if tab[-1][-1] != 0:
-        return _checked_separator(tab, flips, total, pts, target)
-    cols = _basic_solution(tab, basis, total)
+        return _checked_separator(tab, dens, flips, total, pts, target)
+    cols = _basic_solution(tab, dens, basis, total)
     weights = _checked_weights(cols, origin, pts, target)
     rest = set(range(dim)) - _massed(cols, column_counts)
     if rest:
-        _drive_out_artificials(tab, basis, total)
-        _strip_columns(tab, total)
+        _drive_out_artificials(tab, dens, basis, total)
+        _strip_columns(tab, dens, total)
     while rest:
         scores = [len(rest & cs) for cs in column_counts]
-        _set_objective(tab, basis, [-rat(c) for c in scores])
-        if run_simplex(tab, basis) != -1:
+        _set_objective(tab, dens, basis, [-c for c in scores])
+        if run_simplex(tab, dens, basis) != -1:
             raise LPInternalError("bounded polytope reported unbounded")
-        cols = _basic_solution(tab, basis, total)
+        cols = _basic_solution(tab, dens, basis, total)
         _checked_weights(cols, origin, pts, target)
         if any(w != 0 and c != 0 for w, c in zip(cols, scores)):
             rest -= _massed(cols, column_counts)
@@ -659,7 +704,12 @@ def _checked_projection(projection, pts, target):
 def solve_linear(matrix, rhs, num_vars):
     """One exact solution of matrix.x = rhs (free variables pinned to
     zero), or None when the system is inconsistent."""
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    aug = []
+    dens = []
+    for i, coeffs in enumerate(matrix):
+        ints, d = _integer_row(list(coeffs) + [rhs[i]])
+        aug.append(ints)
+        dens.append(d)
     pivots = []
     row = 0
     for col in range(num_vars):
@@ -667,7 +717,8 @@ def solve_linear(matrix, rhs, num_vars):
         if sel is None:
             continue
         aug[row], aug[sel] = aug[sel], aug[row]
-        _pivot(aug, row, col)
+        dens[row], dens[sel] = dens[sel], dens[row]
+        _pivot(aug, dens, row, col)
         pivots.append(col)
         row += 1
         if row == len(aug):
@@ -676,7 +727,7 @@ def solve_linear(matrix, rhs, num_vars):
         return None
     solution = [rat(0)] * num_vars
     for r, col in enumerate(pivots):
-        solution[col] = aug[r][num_vars]
+        solution[col] = rat(aug[r][num_vars], dens[r])
     return solution
 
 
@@ -694,20 +745,22 @@ def linear_range(columns: Sequence, rhs: Sequence, costs: Sequence):
     c = [rat(v) for v in costs]
     if not cols or len(c) != len(cols) or any(len(col) != len(b) for col in cols):
         raise LPError("bad range description")
-    tab, basis, _flips, total = _phase1([list(row) for row in zip(*cols)], b)
+    tab, dens, basis, _flips, total = _phase1([list(row) for row in zip(*cols)], b)
     if tab[-1][-1] != 0:
         return None
-    _drive_out_artificials(tab, basis, total)
-    _strip_columns(tab, total)
+    _drive_out_artificials(tab, dens, basis, total)
+    _strip_columns(tab, dens, total)
     ends = []
     for sign in (ONE, -ONE):
-        work = [row[:] for row in tab]
+        # the pivots replace rows and never mutate them
+        work = tab[:]
+        wdens = dens[:]
         wbasis = basis[:]
         signed = [sign * v for v in c]
-        _set_objective(work, wbasis, signed)
-        if run_simplex(work, wbasis) != -1:
+        _set_objective(work, wdens, wbasis, signed)
+        if run_simplex(work, wdens, wbasis) != -1:
             raise LPError("objective unbounded over the region")
-        x = _basic_solution(work, wbasis, total)
+        x = _basic_solution(work, wdens, wbasis, total)
         y = _basis_duals(cols, wbasis, signed)
         ends.append(sign * _checked_optimum(cols, b, signed, x, y))
     return ends[0], ends[1]

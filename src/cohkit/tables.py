@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .coherence import Assessment, ExtensionBounds, ExtensionProblem
+from .coherence import Assessment, ExtensionBounds, ExtensionProblem, check_coherence
 from .compound import (
     frechet_bounds,
     frechet_bounds_or,
@@ -140,12 +140,17 @@ class IntervalRow:
         raise KeyError((x, y))
 
 
-def _interval_problem(x, y, connective, logic, universe):
+def _interval_problem(x, y, connective, logic, universe, verdicts):
+    """The extension problem of one cell.  verdicts: a dict of the base
+    verdicts by (x, y) over this universe, filled in as cells need them,
+    so that a base is checked once however many operators use it."""
     ah = ConditionalEvent(_A, _H)
     bk = ConditionalEvent(_B, _K)
     base = Assessment.build([ah, bk], [x, y])
+    if (x, y) not in verdicts:
+        verdicts[(x, y)] = check_coherence(base, universe)
     target = build_target(connective, logic, ah, bk, x, y, universe)
-    return ExtensionProblem(base, target, universe)
+    return ExtensionProblem(base, target, universe, verdict=verdicts[(x, y)])
 
 
 def compute_interval_row(
@@ -154,15 +159,19 @@ def compute_interval_row(
     step,
     universe=None,
     confirm_endpoints: bool = True,
+    verdicts=None,
 ) -> IntervalRow:
     """Sweep of one operator over the grid, with closed-form comparison
-    and exact coherence checks of the closed-form endpoints."""
+    and exact coherence checks of the closed-form endpoints.  verdicts:
+    a dict of base verdicts shared by rows over the same universe (see
+    _interval_problem); a fresh one by default."""
     u = free_universe() if universe is None else universe
+    verdicts = {} if verdicts is None else verdicts
     row = IntervalRow(connective, logic)
     values = grid_values(step)
     for x in values:
         for y in values:
-            problem = _interval_problem(x, y, connective, logic, u)
+            problem = _interval_problem(x, y, connective, logic, u, verdicts)
             bounds = problem.bounds()
             closed = closed_form_interval(connective, logic, x, y)
             if confirm_endpoints:
@@ -176,8 +185,9 @@ def compute_interval_row(
 
 def compute_intervals(step, confirm_endpoints: bool = True) -> list:
     u = free_universe()
+    verdicts = {}
     return [
-        compute_interval_row(c, l, step, u, confirm_endpoints)
+        compute_interval_row(c, l, step, u, confirm_endpoints, verdicts)
         for c, l in OPERATORS
     ]
 
@@ -295,7 +305,7 @@ def _p5_star(logic: str, interval_rows, step, tolerance) -> StarCell:
             cell = conj_row.cell_at(x, y)
             z_candidates = {cell.computed.lower, cell.computed.upper}
         except KeyError:
-            probe = _interval_problem(x, y, "and", logic, u)
+            probe = _interval_problem(x, y, "and", logic, u, {})
             bounds = probe.bounds()
             z_candidates = {bounds.lower, bounds.upper}
         conj_ce = trivalent_and(logic, ah, bk, u)

@@ -17,6 +17,11 @@ all-subfamily check on the base plus the target at that value.
 The projection oracle finds the point of a hull nearest to p by trying
 every subset of the points: the projection onto the subset's affine hull
 counts when its coefficients are nonnegative, and the nearest one wins.
+
+The Fraction tableau kernel is the simplex cohkit.lp ran before its
+integer rows: every entry a Fraction, every pivot a Fraction division
+and subtraction per entry.  It takes the same pivots, so the integer
+kernel must reproduce its results, bases and tableaux exactly.
 """
 
 import itertools
@@ -194,3 +199,133 @@ def brute_force_projection(points, p):
             if best_distance is None or distance < best_distance:
                 best, best_distance = tuple(x), distance
     return best
+
+
+# -- the Fraction tableau kernel ------------------------------------------
+
+
+def pivot(rows, r, c):
+    """Scale row r to a unit entry in column c and clear column c from
+    every other row (the last row included)."""
+    pivot_row = rows[r]
+    factor = pivot_row[c]
+    if factor != 1:
+        pivot_row[:] = [v / factor for v in pivot_row]
+    for i, row in enumerate(rows):
+        if i != r:
+            coeff = row[c]
+            if coeff != 0:
+                row[:] = [a - coeff * b if b else a for a, b in zip(row, pivot_row)]
+
+
+def run_simplex(tableau, basis):
+    """Bland's rule on a tableau of Fractions (the reduced-cost row last,
+    the right-hand side column last); basis is updated in place.  Returns
+    -1 at optimality, else the entering column proving unboundedness."""
+    m = len(tableau) - 1
+    rhs = len(tableau[0]) - 1
+    obj = tableau[m]
+    while True:
+        enter = next((j for j in range(rhs) if obj[j] < 0), -1)
+        if enter < 0:
+            return -1
+        leave = -1
+        best = None
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > 0:
+                ratio = tableau[i][rhs] / a
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return enter
+        pivot(tableau, leave, enter)
+        basis[leave] = enter
+
+
+def phase1(rows, rhs_col):
+    """Phase 1 on the equalities rows.x = rhs_col with x >= 0: rows
+    sign-fixed to nonnegative right-hand sides, one artificial column
+    each.  Returns (tableau, basis, flips, n) after the run."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    flips = []
+    tab = []
+    for i in range(m):
+        coeffs = [Fraction(c) for c in rows[i]]
+        b = Fraction(rhs_col[i])
+        flips.append(b < 0)
+        if b < 0:
+            coeffs = [-c for c in coeffs]
+            b = -b
+        row = coeffs + [Fraction(0)] * m + [b]
+        row[n + i] = Fraction(1)
+        tab.append(row)
+    obj = [Fraction(0)] * (n + m + 1)
+    for row in tab:
+        obj = [o - v for o, v in zip(obj, row)]
+    for i in range(m):
+        obj[n + i] = Fraction(0)
+    tab.append(obj)
+    basis = [n + i for i in range(m)]
+    if run_simplex(tab, basis) != -1:
+        raise AssertionError("phase 1 cannot be unbounded")
+    return tab, basis, flips, n
+
+
+def drive_out_artificials(tab, basis, n):
+    """Pivot basic artificials out; drop rows that are fully redundant."""
+    drop = []
+    for i in range(len(tab) - 1):
+        if basis[i] < n:
+            continue
+        pivot_col = next((j for j in range(n) if tab[i][j] != 0), -1)
+        if pivot_col < 0:
+            drop.append(i)
+            continue
+        pivot(tab, i, pivot_col)
+        basis[i] = pivot_col
+    for i in reversed(drop):
+        del tab[i]
+        del basis[i]
+
+
+def set_objective(tab, basis, costs):
+    """Install the reduced-cost row of min costs.x on a feasible basis."""
+    width = len(tab[0])
+    obj = [Fraction(0)] * width
+    obj[: len(costs)] = [Fraction(c) for c in costs]
+    for i, col in enumerate(basis):
+        coeff = obj[col]
+        if coeff != 0:
+            obj = [a - coeff * b for a, b in zip(obj, tab[i])]
+    tab[-1] = obj
+
+
+def solve_linear(matrix, rhs, num_vars):
+    """One solution of matrix.x = rhs (free variables pinned to zero) by
+    Gauss-Jordan elimination, or None when the system is inconsistent."""
+    aug = [[Fraction(c) for c in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    pivots = []
+    row = 0
+    for col in range(num_vars):
+        sel = next((r for r in range(row, len(aug)) if aug[r][col] != 0), None)
+        if sel is None:
+            continue
+        aug[row], aug[sel] = aug[sel], aug[row]
+        pivot(aug, row, col)
+        pivots.append(col)
+        row += 1
+        if row == len(aug):
+            break
+    if any(aug[r][num_vars] != 0 for r in range(row, len(aug))):
+        return None
+    solution = [Fraction(0)] * num_vars
+    for r, col in enumerate(pivots):
+        solution[col] = aug[r][num_vars]
+    return solution

@@ -5,9 +5,14 @@ from pathlib import Path
 
 import pytest
 
+import cohkit.cli
+import cohkit.coherence
+import cohkit.compound
+import cohkit.tables
 from cohkit.cli import main
 from cohkit.rationals import rat
 from cohkit.report import parse_report
+from cohkit.tables import compute_intervals
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -101,6 +106,34 @@ def test_entails_commands():
     )
     assert code == 1
     assert parse_report(text).get("p-entails") is False
+
+
+@pytest.fixture
+def coherence_checks(monkeypatch):
+    """The assessments check_coherence is called on, through every
+    module that calls it."""
+    calls = []
+    original = cohkit.coherence.check_coherence
+
+    def counted(assessment, universe):
+        calls.append(assessment)
+        return original(assessment, universe)
+
+    for module in (cohkit.cli, cohkit.coherence, cohkit.compound, cohkit.tables):
+        monkeypatch.setattr(module, "check_coherence", counted)
+    return calls
+
+
+def test_entails_checks_premises_once(coherence_checks):
+    code, _text = run_cli("entails", str(DATA / "chain_entail.coh"))
+    assert code == 0
+    assert [len(a.family) for a in coherence_checks] == [2]
+
+
+def test_interval_tables_check_each_base_once(coherence_checks):
+    compute_intervals(rat(1, 4))
+    bases = {a.values for a in coherence_checks}
+    assert len(coherence_checks) == len(bases) == 25
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cohkit import lp as kernel
 from cohkit.lp import (
     EQ,
     GE,
@@ -20,6 +23,7 @@ from cohkit.lp import (
 )
 from cohkit.rationals import rat
 
+import oracles
 from oracles import brute_force_optimum, brute_force_projection
 
 
@@ -268,3 +272,183 @@ def test_hull_projection_matches_subset_oracle(data):
         sum(w * q[i] for w, q in zip(projection.weights, points)) for i in range(dim)
     )
     assert mix == projection.point and sum(projection.weights) == 1
+
+
+# -- the integer-row kernel against the Fraction kernel ----------------------
+
+
+def _integer_form(rows):
+    """Rows of Fractions as the kernel holds them: ints over the lcm of
+    each row's denominators."""
+    ints, dens = [], []
+    for row in rows:
+        d = lcm(*(Fraction(v).denominator for v in row))
+        ints.append([int(v * d) for v in row])
+        dens.append(d)
+    return ints, dens
+
+
+def _entry(rng):
+    """Mixed denominators, with 0, 1 and -1 common."""
+    kind = rng.random()
+    if kind < 0.3:
+        return Fraction(0)
+    if kind < 0.45:
+        return Fraction(rng.choice([1, -1]))
+    return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 7, 12]))
+
+
+def _random_columns(rng, m, n):
+    """n random columns of height m, then a few duplicates, some of them
+    negated (which opens unbounded directions)."""
+    cols = [[_entry(rng) for _ in range(m)] for _ in range(n)]
+    for _ in range(rng.randint(0, 2)):
+        col = rng.choice(cols)
+        cols.insert(rng.randint(0, len(cols)), col[:] if rng.random() < 0.5 else [-v for v in col])
+    return cols
+
+
+def _random_slack_tableau(rng):
+    """A canonical tableau on a slack basis: nonnegative right-hand sides
+    (zero often, and repeated rows, for degenerate ratio ties) and random
+    reduced costs."""
+    m = rng.randint(1, 5)
+    cols = _random_columns(rng, m, rng.randint(1, 6))
+    width = len(cols)
+    rhs = [rng.choice([Fraction(0), Fraction(0), Fraction(1), abs(_entry(rng))]) for _ in range(m)]
+    rows = [[col[i] for col in cols] for i in range(m)]
+    if m > 1 and rng.random() < 0.4:
+        rows[-1], rhs[-1] = rows[0][:], rhs[0]
+    tab = [
+        row + [Fraction(int(k == i)) for k in range(m)] + [b]
+        for i, (row, b) in enumerate(zip(rows, rhs))
+    ]
+    tab.append([_entry(rng) for _ in range(width)] + [Fraction(0)] * (m + 1))
+    return tab, [width + i for i in range(m)]
+
+
+def _assert_same_tableau(rows, dens, expected):
+    # equal to the canonical integer form: the same rationals, and every
+    # denominator positive and in lowest terms
+    assert (rows, dens) == _integer_form(expected)
+
+
+def test_run_simplex_matches_fraction_kernel():
+    rng = random.Random(5150)
+    outcomes = {"optimal": 0, "unbounded": 0}
+    for _ in range(400):
+        tab, basis = _random_slack_tableau(rng)
+        rows, dens = _integer_form(tab)
+        int_basis = basis[:]
+        expected = oracles.run_simplex(tab, basis)
+        assert kernel.run_simplex(rows, dens, int_basis) == expected
+        assert int_basis == basis
+        _assert_same_tableau(rows, dens, tab)
+        outcomes["optimal" if expected < 0 else "unbounded"] += 1
+    assert min(outcomes.values()) > 50
+
+
+def _random_equalities(rng):
+    """rows.x = rhs with x >= 0: feasible from a random nonnegative x,
+    or with a random (often negative) rhs; redundant rows are copies,
+    negations or sums of earlier ones, zero rows included."""
+    m = rng.randint(1, 5)
+    cols = _random_columns(rng, m, rng.randint(1, 6))
+    rows = [[col[i] for col in cols] for i in range(m)]
+    for i in range(1, m):
+        pick = rng.random()
+        if pick < 0.15:
+            rows[i] = [-v for v in rows[rng.randrange(i)]]
+        elif pick < 0.3:
+            a, b = rows[rng.randrange(i)], rows[rng.randrange(i)]
+            rows[i] = [u + v for u, v in zip(a, b)]
+        elif pick < 0.35:
+            rows[i] = [Fraction(0)] * len(cols)
+    if rng.random() < 0.7:
+        x = [rng.choice([Fraction(0), abs(_entry(rng))]) for _ in cols]
+        rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
+    else:
+        rhs = [_entry(rng) for _ in rows]
+    return rows, rhs
+
+
+def test_two_phase_pipeline_matches_fraction_kernel():
+    rng = random.Random(8128)
+    seen = {"infeasible": 0, "negative pivot": 0, "dropped row": 0, "unbounded": 0}
+    for _ in range(300):
+        rows, rhs = _random_equalities(rng)
+        tab, basis, flips, n = oracles.phase1(rows, rhs)
+        ints, dens, int_basis, int_flips, int_n = kernel._phase1(rows, rhs)
+        assert (int_basis, int_flips, int_n) == (basis, flips, n)
+        _assert_same_tableau(ints, dens, tab)
+        assert kernel._phase1_duals(ints, dens, flips, n) == [
+            (-1 if flip else 1) * (1 - tab[-1][n + i]) for i, flip in enumerate(flips)
+        ]
+        if tab[-1][-1] != 0:
+            seen["infeasible"] += 1
+            continue
+        for i, col in enumerate(basis):
+            if col >= n:
+                lead = next((v for v in tab[i][:n] if v != 0), None)
+                seen["negative pivot"] += lead is not None and lead < 0
+                seen["dropped row"] += lead is None
+        oracles.drive_out_artificials(tab, basis, n)
+        kernel._drive_out_artificials(ints, dens, int_basis, n)
+        assert int_basis == basis
+        _assert_same_tableau(ints, dens, tab)
+        for row in tab:
+            del row[n:-1]
+        kernel._strip_columns(ints, dens, n)
+        _assert_same_tableau(ints, dens, tab)
+        assert kernel._basic_solution(ints, dens, int_basis, n) == [
+            next((tab[i][-1] for i, col in enumerate(basis) if col == j), 0)
+            for j in range(n)
+        ]
+        costs = [_entry(rng) for _ in range(n)]
+        oracles.set_objective(tab, basis, costs)
+        kernel._set_objective(ints, dens, int_basis, costs)
+        _assert_same_tableau(ints, dens, tab)
+        expected = oracles.run_simplex(tab, basis)
+        assert kernel.run_simplex(ints, dens, int_basis) == expected
+        assert int_basis == basis
+        _assert_same_tableau(ints, dens, tab)
+        seen["unbounded"] += expected >= 0
+    assert min(seen.values()) > 5
+
+
+def _rank(matrix):
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0])):
+        sel = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_solve_linear_matches_fraction_kernel():
+    rng = random.Random(1729)
+    seen = {"solved": 0, "singular": 0, "inconsistent": 0}
+    for _ in range(300):
+        num_vars = rng.randint(1, 5)
+        matrix = [[_entry(rng) for _ in range(num_vars)] for _ in range(rng.randint(1, 5))]
+        rhs = [_entry(rng) for _ in matrix]
+        if len(matrix) > 1 and rng.random() < 0.5:
+            # a dependent row: consistent when its rhs follows along
+            k = _entry(rng)
+            matrix.append([k * v for v in matrix[0]])
+            rhs.append(k * rhs[0] if rng.random() < 0.5 else _entry(rng))
+        expected = oracles.solve_linear(matrix, rhs, num_vars)
+        assert kernel.solve_linear(matrix, rhs, num_vars) == expected
+        if expected is None:
+            seen["inconsistent"] += 1
+        elif _rank(matrix) < num_vars:
+            seen["singular"] += 1
+        else:
+            seen["solved"] += 1
+    assert min(seen.values()) > 20
