@@ -48,7 +48,7 @@ from .events import (
     implies,
     parse_formula,
 )
-from .lp import LinearProgram, hull_membership, kernel_name, solve
+from .lp import hull_membership, kernel_name
 from .rationals import rat
 from .trivalent import (
     ConditionalEvent,

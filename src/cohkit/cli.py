@@ -8,6 +8,7 @@ failing (with a witness in the report), 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .coherence import (
@@ -253,10 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -6,29 +6,35 @@ positive denominator, kept in lowest terms.  A pivot cross-multiplies
 integers and divides each row by one gcd (fraction-free elimination,
 after Edmonds and Bareiss), the ratio test compares integer products,
 and rationals are built only for the basic values and duals handed
-back; the exact linear solves share these rows.  Every answer is
-verified in rationals against its defining inequalities before being
-returned, so callers can rely on zero-residual witnesses and
-certificates.  The convex-hull membership test and the range query
-(both ends of a linear objective, each proved optimal by its primal
-solution and a dual vector) used by the coherence engine live here as
-specialized entry points that keep the nonnegative variables native
-instead of splitting signs, beside the exact Euclidean projection onto
-a hull that the penalty dominator uses.
+back; the exact linear solves share these rows.
+
+Every answer is verified against its defining inequalities before being
+returned, apart from the kernel and on the same fraction-free idea: the
+input data are scaled to ints over one common denominator, a witness
+(weights, separator, duals, projection) to ints over the lcm of its own
+denominators, and each identity is checked on those ints, so callers can
+rely on zero-residual witnesses and certificates.
+
+The entry points are the ones the coherence engine uses, each keeping
+its nonnegative variables native instead of splitting signs: convex-hull
+membership with a separating certificate, the zero-mass round of
+Gilio's check (hull test, then the coordinates with zero mass at every
+hull solution, with a dual certificate), the range of a linear objective
+over x >= 0 on equality rows (both ends, each proved optimal by its
+primal solution and a dual vector), and the exact Euclidean projection
+onto a hull that the penalty dominator uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
-from .rationals import ONE, ZERO, rat
+from .rationals import ONE, ZERO, integer_row, rat
 
-LE, EQ, GE = "<=", "=", ">="
-_RELATIONS = (LE, EQ, GE)
-
-FEASIBILITY = None
+_RATIONAL = type(ZERO)
 
 
 class LPError(Exception):
@@ -41,17 +47,6 @@ class LPInternalError(LPError):
 
 def kernel_name() -> str:
     return "integer-rows"
-
-
-def _integer_row(values):
-    """(ints, d) with ints[j] / d == values[j]: d is the lcm of the
-    entries' denominators, the one positive d with gcd(d, *ints) == 1."""
-    nums = [int(v.numerator) for v in values]
-    dens = [int(v.denominator) for v in values]
-    d = lcm(*dens)
-    if d == 1:
-        return nums, 1
-    return [a * (d // e) for a, e in zip(nums, dens)], d
 
 
 def _reduced(row, d):
@@ -125,69 +120,6 @@ def run_simplex(tableau, dens, basis):
         basis[leave] = enter
 
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """min/max of objective . x subject to rows coeffs . x (rel) rhs.
-
-    Variables are free; bounds are ordinary constraint rows.  objective
-    None means a pure feasibility problem.
-    """
-
-    num_vars: int
-    constraints: tuple
-    objective: Optional[tuple] = FEASIBILITY
-    maximize: bool = False
-
-    @staticmethod
-    def build(num_vars, constraints, objective=FEASIBILITY, maximize=False):
-        rows = []
-        for coeffs, rel, rhs in constraints:
-            coeffs = tuple(rat(c) for c in coeffs)
-            if len(coeffs) != num_vars:
-                raise LPError(
-                    f"row width {len(coeffs)} does not match {num_vars} variables"
-                )
-            if rel not in _RELATIONS:
-                raise LPError(f"unknown relation {rel!r}")
-            rows.append((coeffs, rel, rat(rhs)))
-        obj = None if objective is FEASIBILITY else tuple(rat(c) for c in objective)
-        if obj is not None and len(obj) != num_vars:
-            raise LPError("objective width does not match variable count")
-        return LinearProgram(num_vars, tuple(rows), obj, maximize)
-
-
-@dataclass(frozen=True)
-class Optimal:
-    status = "optimal"
-    value: object
-    solution: tuple
-
-
-@dataclass(frozen=True)
-class Feasible:
-    status = "feasible"
-    solution: tuple
-
-
-@dataclass(frozen=True)
-class Infeasible:
-    """Farkas certificate y: y.A == 0 and y.b > 0, with y <= 0 on <= rows
-    and y >= 0 on >= rows (free on equalities), so any feasible x would
-    force 0 = y.A.x >= y.b > 0."""
-
-    status = "infeasible"
-    certificate: tuple
-
-
-@dataclass(frozen=True)
-class Unbounded:
-    """Improving ray d from a feasible point: A.d respects every row
-    direction at rhs 0 and the objective strictly improves along d."""
-
-    status = "unbounded"
-    ray: tuple
-
-
 def _phase1(rows, rhs_col):
     """Set up and run phase 1 on equality rows; returns tableau pieces.
 
@@ -203,7 +135,7 @@ def _phase1(rows, rhs_col):
     tab = []
     dens = []
     for i in range(m):
-        row, d = _integer_row(list(rows[i]) + [rhs_col[i]])
+        row, d = integer_row(list(rows[i]) + [rhs_col[i]])
         flip = row[-1] < 0
         if flip:
             row = [-v for v in row]
@@ -280,7 +212,7 @@ def _set_objective(tab, dens, basis, costs):
     Basic column col of row i holds dens[i], so clearing it from obj / d
     leaves (obj * dens[i] - obj[col] * row) / (d * dens[i])."""
     width = len(tab[0])
-    obj, d = _integer_row(list(costs) + [0] * (width - len(costs)))
+    obj, d = integer_row(list(costs) + [0] * (width - len(costs)))
     for i, col in enumerate(basis):
         coeff = obj[col]
         if coeff:
@@ -290,122 +222,27 @@ def _set_objective(tab, dens, basis, costs):
     dens[-1] = d
 
 
-def solve(lp: LinearProgram):
-    """Solve an exact LP; returns Optimal/Feasible/Infeasible/Unbounded."""
-    if not isinstance(lp, LinearProgram):
-        raise LPError("expected a LinearProgram")
-    n = lp.num_vars
-    m = len(lp.constraints)
-    # split free variables, add slack/surplus columns
-    nslack = sum(1 for _c, rel, _b in lp.constraints if rel != EQ)
-    rows = []
-    rhs_col = []
-    slack_cols = {}
-    next_slack = 2 * n
-    for i, (coeffs, rel, b) in enumerate(lp.constraints):
-        row = [rat(0)] * (2 * n + nslack)
-        for j, c in enumerate(coeffs):
-            row[2 * j] = c
-            row[2 * j + 1] = -c
-        if rel != EQ:
-            row[next_slack] = rat(1) if rel == LE else rat(-1)
-            slack_cols[i] = next_slack
-            next_slack += 1
-        rows.append(row)
-        rhs_col.append(b)
-    if m == 0:
-        if lp.objective is None:
-            return Feasible(tuple())
-        zero = tuple(rat(0) for _ in range(n))
-        if any(c != 0 for c in lp.objective):
-            return Unbounded(_verify_ray(lp, _objective_ray(lp)))
-        return Optimal(rat(0), zero)
-
-    tab, dens, basis, flips, total = _phase1(rows, rhs_col)
-    if tab[-1][-1] < 0:
-        duals = _phase1_duals(tab, dens, flips, total)
-        return Infeasible(_verify_certificate(lp, duals))
-
-    _drive_out_artificials(tab, dens, basis, total)
-    _strip_columns(tab, dens, total)
-
-    if lp.objective is None:
-        x = _split_solution(_basic_solution(tab, dens, basis, total), n)
-        _verify_feasible(lp, x)
-        return Feasible(tuple(x))
-
-    costs = [rat(0)] * total
-    sign = rat(-1) if lp.maximize else rat(1)
-    for j, c in enumerate(lp.objective):
-        costs[2 * j] = sign * c
-        costs[2 * j + 1] = -sign * c
-    _set_objective(tab, dens, basis, costs)
-    result = run_simplex(tab, dens, basis)
-    if result != -1:
-        ray = _ray_from_tableau(tab, dens, basis, result, total, n)
-        return Unbounded(_verify_ray(lp, ray))
-    x = _split_solution(_basic_solution(tab, dens, basis, total), n)
-    _verify_feasible(lp, x)
-    value = sum((c * xi for c, xi in zip(lp.objective, x)), rat(0))
-    return Optimal(value, tuple(x))
 
 
-def _split_solution(cols, n):
-    return [cols[2 * j] - cols[2 * j + 1] for j in range(n)]
+# -- integer forms of the data and the witnesses ------------------------------
+
+def _rationals(values):
+    """values as rationals: those already of the backend's type as they
+    are, anything else (ints, strings, other rationals) through rat."""
+    return [v if type(v) is _RATIONAL else rat(v) for v in values]
 
 
-def _objective_ray(lp):
-    sign = rat(1) if lp.maximize else rat(-1)
-    return [sign * c for c in lp.objective]
+def _dot(u, v):
+    return sum(map(mul, u, v))
 
 
-def _ray_from_tableau(tab, dens, basis, enter, total, n):
-    direction = [rat(0)] * total
-    direction[enter] = rat(1)
-    for i, col in enumerate(basis):
-        if col < total:
-            direction[col] = rat(-tab[i][enter], dens[i])
-    return _split_solution(direction, n)
-
-
-def _verify_feasible(lp, x):
-    for coeffs, rel, b in lp.constraints:
-        lhs = sum((c * xi for c, xi in zip(coeffs, x)), rat(0))
-        ok = lhs <= b if rel == LE else lhs >= b if rel == GE else lhs == b
-        if not ok:
-            raise LPInternalError("solution fails exact feasibility check")
-    return x
-
-
-def _verify_certificate(lp, duals):
-    n = lp.num_vars
-    combo = [rat(0)] * n
-    total = rat(0)
-    for y, (coeffs, rel, b) in zip(duals, lp.constraints):
-        if rel == LE and y > 0:
-            raise LPInternalError("certificate sign error on <= row")
-        if rel == GE and y < 0:
-            raise LPInternalError("certificate sign error on >= row")
-        for j, c in enumerate(coeffs):
-            combo[j] += y * c
-        total += y * b
-    if any(c != 0 for c in combo) or total <= 0:
-        raise LPInternalError("certificate fails exact Farkas check")
-    return tuple(duals)
-
-
-def _verify_ray(lp, ray):
-    improving = sum((c * d for c, d in zip(lp.objective, ray)), rat(0))
-    if lp.maximize:
-        improving = -improving
-    if improving >= 0:
-        raise LPInternalError("ray does not improve the objective")
-    for coeffs, rel, _b in lp.constraints:
-        along = sum((c * d for c, d in zip(coeffs, ray)), rat(0))
-        ok = along <= 0 if rel == LE else along >= 0 if rel == GE else along == 0
-        if not ok:
-            raise LPInternalError("ray escapes the feasible cone")
-    return tuple(ray)
+def _combine(weights, rows):
+    """sum_j weights[j] * rows[j] over ints, skipping zero weights."""
+    total = [0] * len(rows[0])
+    for w, row in zip(weights, rows):
+        if w:
+            total = [t + w * c for t, c in zip(total, row)]
+    return total
 
 
 # -- convex hull membership ------------------------------------------------
@@ -426,74 +263,92 @@ class HullOutside:
     margin: object
 
 
-def _weights_phase1(points, target):
-    """Phase 1 on sum(w)=1, sum(w q) = target, w >= 0."""
-    m = len(points)
-    dim = len(target)
-    rows = []
-    rhs_col = []
-    for i in range(dim):
-        rows.append([q[i] for q in points])
-        rhs_col.append(target[i])
-    rows.append([rat(1)] * m)
-    rhs_col.append(rat(1))
-    return _phase1(rows, rhs_col)
+@dataclass(frozen=True)
+class _Hull:
+    """The points and the target of a hull query.
+
+    unique: the distinct points as rationals, in order of first
+    occurrence (the phase-1 columns); target: p as rationals.  The same
+    data as ints over scale, the lcm of all their denominators: ints[j]
+    is scale * unique[j] and p is scale * target.  origin[j] is the input
+    index of unique point j's first occurrence, column[h] the index in
+    unique of input point h.
+    """
+
+    unique: list
+    target: list
+    ints: list
+    p: list
+    scale: int
+    origin: list
+    column: list
 
 
 def _hull_input(points, p):
-    pts = [tuple(rat(c) for c in q) for q in points]
+    pts = [_rationals(q) for q in points]
     if not pts:
         raise LPError("empty point list")
-    target = tuple(rat(c) for c in p)
-    if any(len(q) != len(target) for q in pts):
+    target = _rationals(p)
+    dim = len(target)
+    if any(len(q) != dim for q in pts):
         raise LPError("dimension mismatch between points and target")
+    flat, scale = integer_row([c for q in pts for c in q] + target)
     # duplicated points only grow the tableau
-    unique = []
-    origin = []
+    unique, ints, origin, column = [], [], [], []
     seen = {}
-    for idx, q in enumerate(pts):
-        if q not in seen:
-            seen[q] = len(unique)
+    for h, q in enumerate(pts):
+        key = tuple(flat[h * dim : (h + 1) * dim])
+        j = seen.get(key)
+        if j is None:
+            j = seen[key] = len(ints)
             unique.append(q)
-            origin.append(idx)
-    return pts, target, unique, origin
+            ints.append(key)
+            origin.append(h)
+        column.append(j)
+    return _Hull(unique, target, ints, flat[len(pts) * dim :], scale, origin, column)
 
 
-def _checked_weights(cols, origin, pts, target):
-    """Basic solution over the unique points, spread back onto the
-    original list (first occurrences) and verified exactly."""
-    weights = [rat(0)] * len(pts)
-    for j, w in enumerate(cols):
-        weights[origin[j]] = w
-    recomposed = [rat(0)] * len(target)
-    mass = rat(0)
-    for w, q in zip(weights, pts):
-        if w < 0:
-            raise LPInternalError("negative hull weight")
-        mass += w
-        for i, c in enumerate(q):
-            recomposed[i] += w * c
-    if mass != 1 or any(r != t for r, t in zip(recomposed, target)):
+def _weights_phase1(hull):
+    """Phase 1 on sum(w)=1, sum(w q) = target, w >= 0."""
+    rows = [[q[i] for q in hull.unique] for i in range(len(hull.target))]
+    rows.append([ONE] * len(hull.unique))
+    return _phase1(rows, hull.target + [ONE])
+
+
+def _checked_weights(cols, hull):
+    """Weights on the unique points, verified exactly and spread back
+    onto the input list (first occurrences).  As ints w over their lcm
+    L, with points Q and target P over the common denominator: w >= 0,
+    sum(w) = L and sum(w Q) = L P."""
+    w, total = integer_row(cols)
+    if any(v < 0 for v in w):
+        raise LPInternalError("negative hull weight")
+    if sum(w) != total or _combine(w, hull.ints) != [total * c for c in hull.p]:
         raise LPInternalError("hull weights fail exact recomposition")
+    weights = [ZERO] * len(hull.column)
+    for j, v in zip(hull.origin, cols):
+        weights[j] = v
     return tuple(weights)
 
 
-def _checked_separator(tab, dens, flips, total, pts, target):
-    duals = _phase1_duals(tab, dens, flips, total)
-    separator = [-duals[i] for i in range(len(target))]
-    largest = max(abs(c) for c in separator)
+def _checked_separator(tab, dens, flips, total, hull):
+    """The separator of the phase-1 duals, once it is verified strict.
+
+    The separator is S / L: S the negated duals as ints over their lcm,
+    L the largest |S_i|.  With points Q and target P over the common
+    denominator D, S.(Q - P) > 0 for every point; the margin, the least
+    s.(q - p), is min S.(Q - P) / (L D)."""
+    dual, _ = integer_row(_phase1_duals(tab, dens, flips, total)[: len(hull.p)])
+    largest = max(map(abs, dual))
     if largest == 0:
         raise LPInternalError("zero separating vector")
-    separator = [c / largest for c in separator]
-    offset = sum((s * c for s, c in zip(separator, target)), rat(0))
-    margin = None
-    for q in pts:
-        gap = sum((s * c for s, c in zip(separator, q)), rat(0)) - offset
-        if gap <= 0:
-            raise LPInternalError("separator fails strictness check")
-        if margin is None or gap < margin:
-            margin = gap
-    return HullOutside(tuple(separator), margin)
+    s = [-v for v in dual]
+    gap = min(_dot(s, q) for q in hull.ints) - _dot(s, hull.p)
+    if gap <= 0:
+        raise LPInternalError("separator fails strictness check")
+    return HullOutside(
+        tuple(rat(v, largest) for v in s), rat(gap, largest * hull.scale)
+    )
 
 
 def hull_membership(points: Sequence, p: Sequence):
@@ -502,12 +357,12 @@ def hull_membership(points: Sequence, p: Sequence):
     Returns HullInside with exact weights, or HullOutside with a strict
     linear separator (both verified before returning).
     """
-    pts, target, unique, origin = _hull_input(points, p)
-    tab, dens, basis, flips, total = _weights_phase1(unique, target)
+    hull = _hull_input(points, p)
+    tab, dens, basis, flips, total = _weights_phase1(hull)
     if tab[-1][-1] == 0:
         cols = _basic_solution(tab, dens, basis, total)
-        return HullInside(_checked_weights(cols, origin, pts, target))
-    return _checked_separator(tab, dens, flips, total, pts, target)
+        return HullInside(_checked_weights(cols, hull))
+    return _checked_separator(tab, dens, flips, total, hull)
 
 
 @dataclass(frozen=True)
@@ -540,23 +395,21 @@ def hull_zero_mass(points: Sequence, p: Sequence, counts: Sequence):
     recomposed exactly and the final one carries a checked dual vector.
     Returns HullOutside or HullZeroMass.
     """
-    pts, target, unique, origin = _hull_input(points, p)
-    if len(counts) != len(pts):
+    hull = _hull_input(points, p)
+    if len(counts) != len(hull.column):
         raise LPError("one coordinate list per point required")
-    dim = len(target)
     # a unique column stands for all its duplicates, so mass on it can
     # be spread over every coordinate any of them counts
-    column_counts = [set() for _ in unique]
-    index = {q: j for j, q in enumerate(unique)}
-    for q, cs in zip(pts, counts):
-        column_counts[index[q]].update(cs)
+    column_counts = [set() for _ in hull.ints]
+    for j, cs in zip(hull.column, counts):
+        column_counts[j].update(cs)
 
-    tab, dens, basis, flips, total = _weights_phase1(unique, target)
+    tab, dens, basis, flips, total = _weights_phase1(hull)
     if tab[-1][-1] != 0:
-        return _checked_separator(tab, dens, flips, total, pts, target)
+        return _checked_separator(tab, dens, flips, total, hull)
     cols = _basic_solution(tab, dens, basis, total)
-    weights = _checked_weights(cols, origin, pts, target)
-    rest = set(range(dim)) - _massed(cols, column_counts)
+    weights = _checked_weights(cols, hull)
+    rest = set(range(len(hull.p))) - _massed(cols, column_counts)
     if rest:
         _drive_out_artificials(tab, dens, basis, total)
         _strip_columns(tab, dens, total)
@@ -566,12 +419,12 @@ def hull_zero_mass(points: Sequence, p: Sequence, counts: Sequence):
         if run_simplex(tab, dens, basis) != -1:
             raise LPInternalError("bounded polytope reported unbounded")
         cols = _basic_solution(tab, dens, basis, total)
-        _checked_weights(cols, origin, pts, target)
+        _checked_weights(cols, hull)
         if any(w != 0 and c != 0 for w, c in zip(cols, scores)):
             rest -= _massed(cols, column_counts)
             continue
-        certificate = _zero_mass_certificate(unique, basis, scores)
-        _verify_zero_mass(certificate, pts, counts, target, rest)
+        certificate = _zero_mass_certificate(hull, basis, scores)
+        _verify_zero_mass(certificate, hull, counts, rest)
         return HullZeroMass(weights, tuple(sorted(rest)), certificate)
     return HullZeroMass(weights, (), None)
 
@@ -584,21 +437,31 @@ def _massed(cols, column_counts):
     return out
 
 
-def _zero_mass_certificate(unique, basis, scores):
+def _zero_mass_certificate(hull, basis, scores):
     """Duals (y, y0) of an optimal basis of max scores.w over the hull
-    polytope: y.q_j + y0 = score_j on the basic columns."""
-    columns = [q + (ONE,) for q in unique]
-    solution = _basis_duals(columns, basis, [rat(s) for s in scores])
+    polytope: y.q_j + y0 = score_j on the basic columns, solved as
+    y.(D q_j, D) = D score_j over the common denominator D."""
+    d = hull.scale
+    columns = [q + (d,) for q in hull.ints]
+    solution = _basis_duals(columns, basis, [d * s for s in scores])
     return tuple(solution[:-1]), solution[-1]
 
 
-def _verify_zero_mass(certificate, pts, counts, target, rest):
+def _verify_zero_mass(certificate, hull, counts, rest):
+    """With (y, y0) as ints (Y, Y0) over their lcm L, and points Q and
+    target P over the common denominator D: Y.P + D Y0 = 0 (the value
+    y.p + y0 is zero), and Y.Q_h + D Y0 >= L D |rest & counts[h]| for
+    every input point h (dual feasibility)."""
     y, y0 = certificate
-    if sum((a * b for a, b in zip(y, target)), y0) != 0:
+    ints, denominator = integer_row(list(y) + [y0])
+    *y, y0 = ints
+    shift = hull.scale * y0
+    if _dot(y, hull.p) + shift != 0:
         raise LPInternalError("zero-mass certificate has a nonzero value")
-    for q, cs in zip(pts, counts):
-        lhs = sum((a * b for a, b in zip(y, q)), y0)
-        if lhs < len(rest.intersection(cs)):
+    values = [_dot(y, q) + shift for q in hull.ints]
+    unit = denominator * hull.scale
+    for j, cs in zip(hull.column, counts):
+        if values[j] < unit * len(rest.intersection(cs)):
             raise LPInternalError("zero-mass certificate fails dual feasibility")
 
 
@@ -614,24 +477,15 @@ class HullProjection:
     weights: tuple
 
 
-def _dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), ZERO)
-
-
-def _gap(p, x, q):
-    """(p - x).(q - x): positive exactly when moving from x towards q
-    brings x closer to p."""
-    return sum(((a - b) * (c - b) for a, b, c in zip(p, x, q)), ZERO)
-
-
-def _combine(weights, rows):
-    return tuple(_dot(weights, column) for column in zip(*rows))
+def _squared_distance(u, v):
+    return sum((a - b) * (a - b) for a, b in zip(u, v))
 
 
 def _affine_weights(rows, p):
     """Coefficients (summing to 1) of the projection of p onto the
     affine hull of rows, from the normal equations of the directions
-    q - rows[0]."""
+    q - rows[0].  Scaling the rows and p by one factor scales the whole
+    system by its square, so integer rows give the same coefficients."""
     base = rows[0]
     directions = [[a - b for a, b in zip(q, base)] for q in rows[1:]]
     residual = [a - b for a, b in zip(p, base)]
@@ -652,24 +506,32 @@ def hull_projection(points: Sequence, p: Sequence) -> HullProjection:
     q with the largest (p - x).(q - x) while that is positive; minor
     cycles then move x towards the affine projection over the enlarged
     corral, as far as the weights stay nonnegative, and drop the points
-    whose weight reaches zero.  The result is verified exactly.
+    whose weight reaches zero.
+
+    The loop runs on the points Q and the target P as ints over the
+    common denominator D, with x held as ints X over the lcm L of the
+    corral weights, so that x = X / (L D).  (L P - X).(L Q - X) is
+    (L D)^2 times (p - x).(q - x): the same sign, order and ties.  The
+    result is verified exactly.
     """
-    pts, target, unique, origin = _hull_input(points, p)
-    # _gap(p, q, p) is the squared distance from q to p
-    nearest = min(range(len(unique)), key=lambda j: _gap(target, unique[j], target))
+    hull = _hull_input(points, p)
+    pts, target = hull.ints, hull.p
+    nearest = min(range(len(pts)), key=lambda j: _squared_distance(target, pts[j]))
     corral, lam = [nearest], [ONE]
-    x = unique[nearest]
-    distance = _gap(target, x, target)
+    x, scale = list(pts[nearest]), 1
+    distance = _squared_distance(target, x)
     while True:
-        gaps = [_gap(target, x, q) for q in unique]
-        enter = max(range(len(unique)), key=gaps.__getitem__)
-        if gaps[enter] <= 0:
+        # (L P - X).(L Q - X) = L (r.Q) - r.X with r = L P - X
+        r = [scale * a - b for a, b in zip(target, x)]
+        along = [_dot(r, q) for q in pts]
+        enter = max(range(len(pts)), key=along.__getitem__)
+        if scale * along[enter] <= _dot(r, x):
             break
         corral.append(enter)
         lam.append(ZERO)
         settled = False
         while not settled:
-            alpha = _affine_weights([unique[j] for j in corral], target)
+            alpha = _affine_weights([pts[j] for j in corral], target)
             settled = all(a >= 0 for a in alpha)
             if settled:
                 lam = alpha
@@ -679,24 +541,40 @@ def hull_projection(points: Sequence, p: Sequence) -> HullProjection:
             keep = [k for k, w in enumerate(lam) if w != 0]
             corral = [corral[k] for k in keep]
             lam = [lam[k] for k in keep]
-        x = _combine(lam, [unique[j] for j in corral])
-        closer = _gap(target, x, target)
-        if closer >= distance:
+        ints, closer_scale = integer_row(lam)
+        x_new = _combine(ints, [pts[j] for j in corral])
+        closer = _squared_distance([closer_scale * a for a in target], x_new)
+        # |p - x|^2 is distance / (L D)^2
+        if closer * scale * scale >= distance * closer_scale * closer_scale:
             raise LPInternalError("min-norm step made no progress")
-        distance = closer
-    weights = [ZERO] * len(pts)
+        x, scale, distance = x_new, closer_scale, closer
+    weights = [ZERO] * len(hull.column)
     for j, w in zip(corral, lam):
-        weights[origin[j]] = w
-    return _checked_projection(HullProjection(x, tuple(weights)), pts, target)
+        weights[hull.origin[j]] = w
+    unit = scale * hull.scale
+    point = tuple(rat(c, unit) for c in x)
+    return _checked_projection(HullProjection(point, tuple(weights)), hull)
 
 
-def _checked_projection(projection, pts, target):
-    x, weights = projection.point, projection.weights
-    if any(w < 0 for w in weights) or sum(weights, ZERO) != 1:
+def _checked_projection(projection, hull):
+    """With the weights as ints w over their lcm L, points Q and target
+    P over the common denominator D: w >= 0 and sum(w) = L (convex
+    weights), X = sum(w Q) equals L D times the point (recomposition),
+    and (L P - X).(L Q - X) <= 0 for every point Q (the obtuse-angle
+    check, which makes the point the projection)."""
+    weights, scale = integer_row(projection.weights)
+    if any(w < 0 for w in weights) or sum(weights) != scale:
         raise LPInternalError("projection weights are not convex")
-    if _combine(weights, pts) != x:
+    x = _combine(weights, [hull.ints[j] for j in hull.column])
+    unit = scale * hull.scale
+    point = projection.point
+    if len(point) != len(x) or any(
+        c.numerator * unit != v * c.denominator for c, v in zip(point, x)
+    ):
         raise LPInternalError("projection weights fail exact recomposition")
-    if any(_gap(target, x, q) > 0 for q in pts):
+    r = [scale * a - b for a, b in zip(hull.p, x)]
+    offset = _dot(r, x)
+    if any(scale * _dot(r, q) > offset for q in hull.ints):
         raise LPInternalError("projection fails the obtuse-angle check")
     return projection
 
@@ -707,7 +585,7 @@ def solve_linear(matrix, rhs, num_vars):
     aug = []
     dens = []
     for i, coeffs in enumerate(matrix):
-        ints, d = _integer_row(list(coeffs) + [rhs[i]])
+        ints, d = integer_row(list(coeffs) + [rhs[i]])
         aug.append(ints)
         dens.append(d)
     pivots = []
@@ -735,34 +613,39 @@ def linear_range(columns: Sequence, rhs: Sequence, costs: Sequence):
     """Range of costs.x over x >= 0 with sum_j x_j columns[j] = rhs.
 
     Returns (lo, hi), or None when no such x exists.  The objective must
-    be bounded below and above on the region; the extension LPs and
-    polytope_range satisfy that through a normalising row.  The maximum
-    is the negated minimum of -costs, so both ends share phase 1.  Each
-    end is returned only after _checked_optimum has verified it.
+    be bounded below and above on the region; the extension LPs satisfy
+    that through a normalising row.  The maximum is the negated minimum
+    of -costs, so both ends share phase 1.  Each end is returned only
+    after _checked_optimum has verified it, on the data as ints over
+    their common denominator.
     """
-    cols = [tuple(rat(c) for c in col) for col in columns]
-    b = tuple(rat(v) for v in rhs)
-    c = [rat(v) for v in costs]
+    cols = [_rationals(col) for col in columns]
+    b = _rationals(rhs)
+    c = _rationals(costs)
     if not cols or len(c) != len(cols) or any(len(col) != len(b) for col in cols):
         raise LPError("bad range description")
+    m, n = len(b), len(cols)
+    flat, scale = integer_row([v for col in cols for v in col] + b + c)
+    int_cols = [flat[j * m : (j + 1) * m] for j in range(n)]
+    int_b, int_c = flat[n * m : n * m + m], flat[n * m + m :]
     tab, dens, basis, _flips, total = _phase1([list(row) for row in zip(*cols)], b)
     if tab[-1][-1] != 0:
         return None
     _drive_out_artificials(tab, dens, basis, total)
     _strip_columns(tab, dens, total)
     ends = []
-    for sign in (ONE, -ONE):
+    for sign in (1, -1):
         # the pivots replace rows and never mutate them
         work = tab[:]
         wdens = dens[:]
         wbasis = basis[:]
-        signed = [sign * v for v in c]
-        _set_objective(work, wdens, wbasis, signed)
+        _set_objective(work, wdens, wbasis, c if sign == 1 else [-v for v in c])
         if run_simplex(work, wdens, wbasis) != -1:
             raise LPError("objective unbounded over the region")
         x = _basic_solution(work, wdens, wbasis, total)
-        y = _basis_duals(cols, wbasis, signed)
-        ends.append(sign * _checked_optimum(cols, b, signed, x, y))
+        signed = [sign * v for v in int_c]
+        y = _basis_duals(int_cols, wbasis, signed)
+        ends.append(sign * _checked_optimum(int_cols, int_b, signed, scale, x, y))
     return ends[0], ends[1]
 
 
@@ -776,30 +659,23 @@ def _basis_duals(cols, basis, costs):
     return duals
 
 
-def _checked_optimum(cols, b, costs, x, y):
-    """costs.x, once x and y are verified to prove it the minimum: x >= 0
-    and sum_j x_j cols[j] = b (primal), y.cols[j] <= costs[j] for every
-    j (dual), and y.b = costs.x (equal values)."""
+def _checked_optimum(cols, b, costs, scale, x, y):
+    """costs.x, once x and y are verified to prove it the minimum.
+
+    cols, b and costs are ints over the common denominator scale; x and
+    y become ints X and Y over their lcms Lx and Ly.  Checked: X >= 0
+    and sum_j X_j cols[j] = Lx b (primal), Y.cols[j] <= Ly costs[j] for
+    every j (dual), and Lx Y.b = Ly costs.X (equal values).  The value
+    is costs.X / (Lx scale)."""
+    x, x_scale = integer_row(x)
     if any(v < 0 for v in x):
         raise LPInternalError("negative primal value")
-    if _combine(x, cols) != b:
+    if _combine(x, cols) != [x_scale * v for v in b]:
         raise LPInternalError("primal solution fails exact feasibility")
-    if any(_dot(y, col) > cost for col, cost in zip(cols, costs)):
+    y, y_scale = integer_row(y)
+    if any(_dot(y, col) > y_scale * cost for col, cost in zip(cols, costs)):
         raise LPInternalError("duals fail exact dual feasibility")
     value = _dot(costs, x)
-    if _dot(y, b) != value:
+    if x_scale * _dot(y, b) != y_scale * value:
         raise LPInternalError("primal and dual values differ")
-    return value
-
-
-def polytope_range(points: Sequence, fixed: Sequence, scores: Sequence):
-    """Range of sum(w s_h) over w >= 0, sum w = 1, sum(w q_h) = fixed.
-
-    points: rows q_h (possibly empty tuples when fixed is empty); scores:
-    one value per row.  Returns (lo, hi), verified by linear_range, or
-    None when the polytope is empty.
-    """
-    target = tuple(fixed) + (ONE,)
-    if not points or any(len(q) != len(fixed) for q in points):
-        raise LPError("bad polytope description")
-    return linear_range([tuple(q) + (ONE,) for q in points], target, scores)
+    return rat(value, x_scale * scale)

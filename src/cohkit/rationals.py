@@ -10,6 +10,7 @@ numerator/denominator attributes in canonical form.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 try:
     from gmpy2 import mpq as _mpq
@@ -30,6 +31,17 @@ def rat(numerator=0, denominator=1):
 
 ZERO = rat(0)
 ONE = rat(1)
+
+
+def integer_row(values):
+    """(ints, d) with ints[j] / d == values[j]: d is the lcm of the
+    entries' denominators, the one positive d with gcd(d, *ints) == 1."""
+    nums = [int(v.numerator) for v in values]
+    dens = [int(v.denominator) for v in values]
+    d = lcm(*dens)
+    if d == 1:
+        return nums, 1
+    return [a * (d // e) for a, e in zip(nums, dens)], d
 
 
 class RationalParseError(ValueError):

@@ -27,7 +27,9 @@ kernel must reproduce its results, bases and tableaux exactly.
 import itertools
 from fractions import Fraction
 
-from cohkit.lp import EQ, GE, LE, HullOutside, hull_membership
+from cohkit.lp import HullOutside, hull_membership
+
+LE, EQ, GE = "<=", "=", ">="
 
 
 def _solve_square(rows, rhs):

@@ -1,6 +1,6 @@
 import io
 import re
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -149,6 +149,35 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["bounds", str(single), "--op", "K", "--kind", "and"]) == 2
     assert main(["tables", "--step", "1/3"]) == 2
     capsys.readouterr()
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_reused_parser_keeps_no_state():
+    # one parser serves every call in a process; each call must give what
+    # a freshly built parser gives
+    triple = str(DATA / "additive_triple.coh")
+    runs = [
+        ["check", triple],
+        ["bounds", str(DATA / "free_pair.coh"), "--op", "K", "--kind", "and"],
+        ["dutchbook", triple],
+        ["entails", str(DATA / "chain_entail.coh")],
+        ["bounds", triple, "--op", "X", "--kind", "and"],
+        ["check", triple],
+    ]
+    shared = [run_captured(argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        cohkit.cli._parser.cache_clear()
+        fresh.append(run_captured(argv))
+    assert shared == fresh
+    assert [code for code, _out, _err in shared] == [1, 0, 1, 0, 2, 1]
+    assert "invalid choice" in shared[4][2]
 
 
 @pytest.mark.parametrize("step", ["1/0", "1/2/3"])

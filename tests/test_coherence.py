@@ -1,7 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+import cohkit.coherence
 from cohkit.coherence import (
     Assessment,
     CoherenceError,
@@ -18,7 +20,7 @@ from cohkit.coherence import (
     world_values,
 )
 from cohkit.events import Atom, TOP, Universe, enumerate_constituents
-from cohkit.lp import HullInside, HullOutside, polytope_range
+from cohkit.lp import HullInside, HullOutside, linear_range
 from cohkit.rationals import rat
 from cohkit.trivalent import ConditionalEvent, free_universe
 
@@ -249,6 +251,24 @@ def test_brier_clamps_out_of_range_value():
     assert brier_dominator(assessment, u) == (rat(1),)
 
 
+def test_dominance_check_rejects_a_nudged_projection(monkeypatch):
+    # A at 1 + 1/(2 10^9): the projection 1 dominates, while 1 + 1/10^9
+    # raises the penalty on the constituent where A is true
+    nudge = rat(1, 10**9)
+    u = Universe(["A"])
+    assessment = Assessment.build(unconditional(A), [1 + nudge / 2])
+    assert brier_dominator(assessment, u) == (rat(1),)
+    original = cohkit.coherence.hull_projection
+
+    def nudged(points, p):
+        projection = original(points, p)
+        return replace(projection, point=(projection.point[0] + nudge,))
+
+    monkeypatch.setattr(cohkit.coherence, "hull_projection", nudged)
+    with pytest.raises(CoherenceError, match="dominance"):
+        brier_dominator(assessment, u)
+
+
 def test_brier_on_subfamily_failure(hull_pass_subfamily_fail):
     u, assessment = hull_pass_subfamily_fail
     dominator = brier_dominator(assessment, u)
@@ -264,8 +284,8 @@ def classical_disjunction_bounds(x, y):
     # worlds of (A, B): (0,0), (0,1), (1,0), (1,1)
     rows = [(0, 0), (0, 1), (1, 0), (1, 1)]
     scores = [0, 1, 1, 1]  # indicator of A or B
-    fixed_rows = [(a, b) for a, b in rows]
-    return polytope_range(fixed_rows, (x, y), scores)
+    columns = [(a, b, 1) for a, b in rows]
+    return linear_range(columns, (x, y, 1), scores)
 
 
 def test_extension_matches_classical_bounds():

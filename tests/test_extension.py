@@ -105,4 +105,4 @@ def test_corrupted_dual_feasibility_raises(monkeypatch):
     # (1 + d, -d/2) keeps y.b = 1/2 but prices the point 1 above its cost
     _corrupt_duals(monkeypatch, lambda y: [y[0] + rat(1, 5), y[1] - rat(1, 10)])
     with pytest.raises(lp.LPInternalError, match="dual feasibility"):
-        lp.polytope_range([(0,), (1,)], (rat(1, 2),), [0, 1])
+        lp.linear_range([(0, 1), (1, 1)], (rat(1, 2), 1), [0, 1])

@@ -7,84 +7,38 @@ from hypothesis import given, settings, strategies as st
 
 from cohkit import lp as kernel
 from cohkit.lp import (
-    EQ,
-    GE,
     HullInside,
     HullOutside,
+    HullProjection,
     HullZeroMass,
-    LE,
     LPError,
-    LinearProgram,
+    LPInternalError,
     hull_membership,
     hull_projection,
     hull_zero_mass,
-    polytope_range,
-    solve,
+    linear_range,
 )
 from cohkit.rationals import rat
 
 import oracles
-from oracles import brute_force_optimum, brute_force_projection
+from oracles import EQ, GE, brute_force_optimum, brute_force_projection
 
 
 def test_one_dimensional_box():
-    lp = LinearProgram.build(1, [((1,), LE, 1), ((1,), GE, 0)], (1,), maximize=True)
-    result = solve(lp)
-    assert result.status == "optimal"
-    assert result.value == 1
-
-
-def test_trivial_program():
-    lp = LinearProgram.build(1, [], objective=(0,))
-    result = solve(lp)
-    assert result.status == "optimal" and result.value == 0
+    # 0 <= x <= 1 as x + s = 1 over x, s >= 0
+    assert linear_range([(1,), (1,)], (1,), (1, 0)) == (0, 1)
 
 
 def test_pure_feasibility():
-    lp = LinearProgram.build(2, [((1, 1), EQ, 1), ((1, 0), GE, 0), ((0, 1), GE, 0)])
-    result = solve(lp)
-    assert result.status == "feasible"
-    x = result.solution
-    assert x[0] + x[1] == 1 and x[0] >= 0 and x[1] >= 0
-
-
-def test_infeasible_certificate():
-    lp = LinearProgram.build(1, [((1,), LE, 0), ((1,), GE, 1)])
-    result = solve(lp)
-    assert result.status == "infeasible"
-    y = result.certificate
-    # y.A == 0 and y.b > 0 with the sign pattern of the rows
-    assert y[0] * 1 + y[1] * 1 == 0
-    assert y[0] * 0 + y[1] * 1 > 0
-    assert y[0] <= 0 <= y[1]
+    # zero costs: x1 + x2 = 1 is feasible, x1 + x2 = -1 has no x >= 0
+    assert linear_range([(1,), (1,)], (1,), (0, 0)) == (0, 0)
+    assert linear_range([(1,), (1,)], (-1,), (0, 0)) is None
 
 
 def test_unbounded_ray():
-    lp = LinearProgram.build(2, [((1, -1), GE, 0)], objective=(1, 0), maximize=True)
-    result = solve(lp)
-    assert result.status == "unbounded"
-    d = result.ray
-    assert d[0] - d[1] >= 0 and d[0] > 0
-
-
-def test_solve_hull_feasibility_program():
-    # weights on {(0,0), (1,1)} reproducing (2,2): infeasible, with a
-    # Farkas combination proving it
-    rows = [
-        ((1, 0), GE, rat(0)),
-        ((0, 1), GE, rat(0)),
-        ((1, 1), EQ, rat(1)),
-        ((0, 1), EQ, rat(2)),  # first target coordinate
-        ((0, 1), EQ, rat(2)),  # second target coordinate
-    ]
-    lp = LinearProgram.build(2, rows)
-    result = solve(lp)
-    assert result.status == "infeasible"
-    y = result.certificate
-    for j in range(2):
-        assert sum(yi * row[0][j] for yi, row in zip(y, rows)) == 0
-    assert sum(yi * row[2] for yi, row in zip(y, rows)) > 0
-    assert y[0] >= 0 and y[1] >= 0
+    # x1 - x2 = 0 leaves the ray x1 = x2 = t open, so x1 has no maximum
+    with pytest.raises(LPError, match="unbounded"):
+        linear_range([(1,), (-1,)], (0,), (1, 0))
 
 
 def test_hull_midpoint():
@@ -134,48 +88,55 @@ def test_hull_rejects_bad_input():
         hull_membership([(1, 2), (1,)], (0, 0))
 
 
-def test_polytope_range_segment():
-    lo, hi = polytope_range([(0,), (1,)], (rat(1, 2),), [rat(0), rat(1)])
-    assert (lo, hi) == (rat(1, 2), rat(1, 2))
-    assert polytope_range([(0,), (1,)], (rat(3, 2),), [0, 1]) is None
-    lo, hi = polytope_range([(), (), ()], (), [rat(1, 3), rat(2, 3), rat(1, 6)])
+def test_linear_range_segment():
+    # weights on the points 0 and 1 (the last row is sum(w) = 1)
+    segment = [(0, 1), (1, 1)]
+    assert linear_range(segment, (rat(1, 2), 1), [rat(0), rat(1)]) == (rat(1, 2), rat(1, 2))
+    assert linear_range(segment, (rat(3, 2), 1), [0, 1]) is None
+    lo, hi = linear_range([(1,), (1,), (1,)], (1,), [rat(1, 3), rat(2, 3), rat(1, 6)])
     assert (lo, hi) == (rat(1, 6), rat(2, 3))
 
 
 def _random_bounded_program(rng):
-    num_vars = rng.randint(1, 4)
-    constraints = []
-    for j in range(num_vars):
-        unit = tuple(1 if i == j else 0 for i in range(num_vars))
-        constraints.append((unit, GE, rat(-3)))
-        constraints.append((unit, LE, rat(3)))
-    for _ in range(rng.randint(0, 4)):
-        coeffs = tuple(rat(rng.randint(-3, 3)) for _ in range(num_vars))
-        rel = rng.choice([LE, GE, EQ])
-        rhs = rat(rng.randint(-4, 4))
-        constraints.append((coeffs, rel, rhs))
-    objective = tuple(rat(rng.randint(-3, 3)) for _ in range(num_vars))
-    maximize = rng.random() < 0.5
-    return LinearProgram.build(num_vars, constraints, objective, maximize)
+    """Equality rows over x >= 0, the last one sum(x) = 1 so that the
+    region is bounded; the right-hand side comes from a random feasible
+    x, or is drawn at random (often infeasible)."""
+    n = rng.randint(1, 4)
+    rows = [[rat(rng.randint(-3, 3)) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.6:
+        mix = [rng.randint(0, 4) for _ in range(n)]
+        mix[rng.randrange(n)] += 1
+        x = [rat(k, sum(mix)) for k in mix]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    else:
+        rhs = [rat(rng.randint(-4, 4)) for _ in rows]
+    rows.append([rat(1)] * n)
+    rhs.append(rat(1))
+    costs = [rat(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n)]
+    return rows, rhs, costs
 
 
-def test_solve_matches_vertex_enumeration():
+def test_linear_range_matches_vertex_enumeration():
     rng = random.Random(20260809)
     checked = 0
-    for _ in range(120):
-        lp = _random_bounded_program(rng)
-        expected = brute_force_optimum(
-            lp.num_vars, lp.constraints, lp.objective, lp.maximize
-        )
-        result = solve(lp)
-        if expected is None:
-            # no vertex: with full box constraints the program is infeasible
-            assert result.status == "infeasible"
+    for _ in range(150):
+        rows, rhs, costs = _random_bounded_program(rng)
+        n = len(costs)
+        constraints = [(row, EQ, b) for row, b in zip(rows, rhs)]
+        constraints += [(tuple(int(i == j) for i in range(n)), GE, 0) for j in range(n)]
+        lo = brute_force_optimum(n, constraints, costs, maximize=False)
+        hi = brute_force_optimum(n, constraints, costs, maximize=True)
+        result = linear_range(list(zip(*rows)), rhs, costs)
+        if lo is None:
+            # no vertex: the bounded region is empty
+            assert result is None
         else:
-            assert result.status == "optimal"
-            assert result.value == rat(expected.numerator, expected.denominator)
+            assert result == (
+                rat(lo.numerator, lo.denominator),
+                rat(hi.numerator, hi.denominator),
+            )
             checked += 1
-    assert checked > 60
+    assert checked > 90
 
 
 @settings(max_examples=40, deadline=None)
@@ -252,7 +213,7 @@ def test_hull_zero_mass_agrees_with_range_lps(rows, mix):
     assert isinstance(outcome, HullZeroMass)
     for i in range(2):
         scores = [1 if i in cs else 0 for cs in counts]
-        _lo, hi = polytope_range(points, target, scores)
+        _lo, hi = linear_range([q + (1,) for q in points], target + (1,), scores)
         assert (hi == 0) == (i in outcome.zero_mass)
 
 
@@ -452,3 +413,83 @@ def test_solve_linear_matches_fraction_kernel():
         else:
             seen["solved"] += 1
     assert min(seen.values()) > 20
+
+
+# -- the integer checks reject witnesses nudged by 1/10^9 --------------------
+
+NUDGE = rat(1, 10**9)
+HALF = rat(1, 2)
+
+
+def test_checked_weights_rejects_nudged_weights():
+    hull = kernel._hull_input([(0, 0), (1, 1), (0, 0)], (HALF, HALF))
+    assert kernel._checked_weights([HALF, HALF], hull) == (HALF, HALF, 0)
+    for cols in ([HALF + NUDGE, HALF], [HALF + NUDGE, HALF - NUDGE]):
+        with pytest.raises(LPInternalError, match="recomposition"):
+            kernel._checked_weights(cols, hull)
+
+
+def test_checked_weights_rejects_negative_weight():
+    # the weights sum to 1 and recompose p, but one is negative
+    hull = kernel._hull_input([(0,), (1,), (2,)], (1,))
+    with pytest.raises(LPInternalError, match="negative"):
+        kernel._checked_weights([-NUDGE, 1 + 2 * NUDGE, -NUDGE], hull)
+
+
+def test_checked_separator_rejects_nonstrict_separator(monkeypatch):
+    # p lies 1/10^9 above the segment from (0, 0) to (1, 0); the
+    # separator (0, -1) has margin 1/10^9, (-1/10^9, -1) none at (1, 0)
+    points, p = [(0, 0), (1, 0)], (0, NUDGE)
+    assert hull_membership(points, p) == HullOutside((0, -1), NUDGE)
+    original = kernel._phase1_duals
+
+    def nudged(*args):
+        duals = original(*args)
+        return [duals[0] + NUDGE * duals[1]] + duals[1:]
+
+    monkeypatch.setattr(kernel, "_phase1_duals", nudged)
+    with pytest.raises(LPInternalError, match="strictness"):
+        hull_membership(points, p)
+
+
+def _zero_mass_case():
+    points = [(0, 1), (0, 0), (0, 1), (HALF, 1), (HALF, 0)]
+    counts = [[0, 1], [0, 1], [0], [1], [1]]
+    return points, (HALF, 1), counts
+
+
+def test_verify_zero_mass_rejects_nudged_certificates():
+    points, target, counts = _zero_mass_case()
+    (y1, y2), y0 = hull_zero_mass(points, target, counts).certificate
+    hull = kernel._hull_input(points, target)
+    kernel._verify_zero_mass(((y1, y2), y0), hull, counts, {0})
+    with pytest.raises(LPInternalError, match="nonzero value"):
+        kernel._verify_zero_mass(((y1, y2), y0 + NUDGE), hull, counts, {0})
+    # the value y.p + y0 stays 0, but y.q + y0 drops below 1 at (0, 0)
+    with pytest.raises(LPInternalError, match="dual feasibility"):
+        kernel._verify_zero_mass(((y1, y2 + NUDGE), y0 - NUDGE), hull, counts, {0})
+
+
+def test_checked_projection_rejects_a_point_that_is_not_the_projection():
+    points, p = [(0, 0), (1, 0)], (HALF, 1)
+    projection = hull_projection(points, p)
+    assert projection == HullProjection((HALF, 0), (HALF, HALF))
+    hull = kernel._hull_input(points, p)
+    cases = [
+        ((HALF + NUDGE, 0), (HALF, HALF), "recomposition"),
+        ((HALF, 0), (HALF + NUDGE, HALF), "not convex"),
+        # a hull point, recomposed exactly, but not the nearest one
+        ((HALF - NUDGE, 0), (HALF + NUDGE, HALF - NUDGE), "obtuse-angle"),
+    ]
+    for point, weights, message in cases:
+        with pytest.raises(LPInternalError, match=message):
+            kernel._checked_projection(HullProjection(point, weights), hull)
+
+
+def test_hull_entry_points_read_ints_fractions_and_strings():
+    points = [(0, 0), (1, 3), (2, 1), (1, 3), ("1/2", Fraction(4))]
+    exact_points = [tuple(rat(c) for c in q) for q in points]
+    for p in [(1, 2), ("3", 3), (Fraction(2, 3), "5/2")]:
+        exact_p = tuple(rat(c) for c in p)
+        assert hull_membership(points, p) == hull_membership(exact_points, exact_p)
+        assert hull_projection(points, p) == hull_projection(exact_points, exact_p)
