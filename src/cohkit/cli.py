@@ -18,10 +18,10 @@ from .coherence import (
     check_coherence,
     dutch_book,
     extension_bounds,
-    random_gain,
 )
 from .compound import CompoundError, p_entails, p_entails_absorption
-from .events import EventError, enumerate_constituents
+from .events import EventError
+from .events import enumerate_constituents  # noqa: F401  (perfbench traces this name)
 from .fileio import FileFormatError, parse_assessment_file
 from .lp import kernel_name
 from .rationals import rat
@@ -62,6 +62,12 @@ def _family_section(report: Report, doc) -> Assessment:
     return assessment
 
 
+def _gains_section(report: Report, book) -> None:
+    gains = report.section("gains")
+    for index, gain in book.gains:
+        gains.add(f"C{index}", gain)
+
+
 def cmd_check(args) -> int:
     doc = _load(args.file)
     report = Report().add("command", "check")
@@ -75,14 +81,7 @@ def cmd_check(args) -> int:
     report.add("failing-subfamily", [i + 1 for i in verdict.failing_subfamily])
     book = dutch_book(assessment, doc.universe, verdict)
     report.add("stakes", list(book.stakes))
-    gains = report.section("gains")
-    sub = Assessment.build(
-        [assessment.family[i] for i in book.subfamily],
-        [assessment.values[i] for i in book.subfamily],
-    )
-    table = enumerate_constituents(sub.family, doc.universe)
-    for constituent in table.constituents:
-        gains.add(f"C{constituent.index}", random_gain(sub, book.stakes, constituent))
+    _gains_section(report, book)
     report.add("margin", book.margin)
     dominator = brier_dominator(assessment, doc.universe, verdict)
     report.add("brier-dominator", list(dominator))
@@ -104,14 +103,7 @@ def cmd_dutchbook(args) -> int:
     report.add("subfamily", [i + 1 for i in book.subfamily])
     report.add("stakes", list(book.stakes))
     report.add("margin", book.margin)
-    sub = Assessment.build(
-        [assessment.family[i] for i in book.subfamily],
-        [assessment.values[i] for i in book.subfamily],
-    )
-    table = enumerate_constituents(sub.family, doc.universe)
-    gains = report.section("gains")
-    for constituent in table.constituents:
-        gains.add(f"C{constituent.index}", random_gain(sub, book.stakes, constituent))
+    _gains_section(report, book)
     print(render(report), end="")
     return 1
 

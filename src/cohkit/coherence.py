@@ -31,8 +31,11 @@ from .events import (
     SIG_TRUE,
     SIG_VOID,
     Universe,
+    bitset,
     conditional_sets,
     enumerate_constituents,
+    refine,
+    set_bits,
 )
 from .lp import (
     HullOutside,
@@ -101,47 +104,72 @@ class DutchBook:
     subfamily: tuple
     stakes: tuple
     margin: object  # min gain over the subfamily's constituents, > 0
+    gains: tuple  # (constituent index, gain) over the subfamily's constituents
 
 
 def world_values(ce: ConditionalEvent, universe: Universe) -> tuple:
     """Per-world indicator values of a conditional event; None when void."""
     true, false, _void = conditional_sets(ce, universe)
-    out = []
-    for pos in range(len(universe)):
-        bit = 1 << pos
-        if true & bit:
-            out.append(ONE)
-        elif false & bit:
-            out.append(ZERO)
-        else:
-            out.append(None)
+    out = [None] * len(universe)
+    for value, bits in ((ONE, true), (ZERO, false)):
+        for pos in set_bits(bits):
+            out[pos] = value
     return tuple(out)
 
 
-def _sort_key(entry):
-    return (1,) if entry is None else (0, -entry)
+def world_levels(ce: ConditionalEvent, universe: Universe) -> tuple:
+    """(value, world bitset) levels of a conditional event: one where it
+    is true, zero where it is false; void elsewhere."""
+    true, false, _void = conditional_sets(ce, universe)
+    return ((ONE, true), (ZERO, false))
+
+
+def value_levels(member: Sequence) -> tuple:
+    """(value, world bitset) levels of per-world values (None where
+    void).  Worlds are grouped by the identity of their value, which
+    hashes machine integers instead of rationals; MemberTable merges
+    levels of equal value."""
+    positions: dict = {}
+    for pos, value in enumerate(member):
+        if value is not None:
+            positions.setdefault(id(value), (value, []))[1].append(pos)
+    width = len(member)
+    return tuple((value, bitset(at, width)) for value, at in positions.values())
+
+
+def _ranked(levels) -> tuple:
+    """A member's levels with equal values merged, largest value first."""
+    merged: dict = {}
+    for value, bits in levels:
+        if bits:
+            value = rat(value)
+            merged[value] = merged.get(value, 0) | bits
+    return tuple(sorted(merged.items(), key=lambda level: level[0], reverse=True))
 
 
 class MemberTable:
-    """Per-world values of a generalized family, with subfamily grouping.
+    """Levels of a generalized family, with subfamily grouping.
 
-    members: one tuple per member, a value or None (void) per world
-    position.  Grouping a subfamily yields its constituent value
-    patterns, the all-void pattern excluded, in a deterministic order.
+    levels: one sequence per member of (value, world bitset) pairs over
+    num_worlds world positions, the member being void on the worlds of
+    no level.  Grouping a subfamily yields its constituent value
+    patterns, the all-void pattern excluded, ordered member by member
+    with values largest first and void last.
     """
 
-    def __init__(self, members: Sequence[tuple], values: Sequence):
-        self.members = [tuple(m) for m in members]
+    def __init__(self, levels: Sequence, values: Sequence, num_worlds: int):
+        self.members = [_ranked(member) for member in levels]
         self.values = [rat(v) for v in values]
         if len(self.members) != len(self.values):
             raise CoherenceError("member and value counts differ")
         if not self.members:
             raise CoherenceError("empty family")
-        self.num_worlds = len(self.members[0])
-        if any(len(m) != self.num_worlds for m in self.members):
-            raise CoherenceError("member world counts differ")
+        self.num_worlds = num_worlds
+        # a pattern holds per member the rank of its level, or the level
+        # count where the member is void, so int order is the value order
+        self._decode = [tuple(v for v, _bits in m) + (None,) for m in self.members]
         self._groups: dict = {}
-        self._distinct = self._scan_worlds()
+        self._distinct = tuple(self._scan_worlds())
 
     def revalued(self, values: Sequence) -> "MemberTable":
         """The same members under other values, sharing the world scan
@@ -152,31 +180,25 @@ class MemberTable:
             raise CoherenceError("member and value counts differ")
         return twin
 
-    def _scan_worlds(self) -> set:
-        """Distinct full-family value patterns, one pass over the worlds.
-
-        Worlds are grouped by the identities of their entries, which
-        hashes machine integers instead of rationals; the few groups are
-        then merged by value (members reuse a handful of value objects,
-        and the table keeps them alive, so identities are stable)."""
-        ids = [list(map(id, member)) for member in self.members]
-        objects = [dict(zip(keys, member)) for keys, member in zip(ids, self.members)]
-        return {
-            tuple(lookup[key] for lookup, key in zip(objects, keys))
-            for keys in set(zip(*ids))
-        }
+    def _scan_worlds(self) -> dict:
+        """Distinct full-family rank patterns -> world bitsets, by one
+        partition refinement of the worlds."""
+        return refine(
+            (1 << self.num_worlds) - 1,
+            [(tuple(enumerate(bits for _v, bits in m)), len(m)) for m in self.members],
+        )
 
     def patterns(self, subset: tuple) -> tuple:
         """Distinct non-all-void value patterns of the subfamily."""
         cached = self._groups.get(subset)
         if cached is not None:
             return cached
-        seen = set()
-        for full in self._distinct:
-            pattern = tuple(full[i] for i in subset)
-            if any(entry is not None for entry in pattern):
-                seen.add(pattern)
-        ordered = tuple(sorted(seen, key=lambda pat: [_sort_key(e) for e in pat]))
+        seen = {tuple([full[i] for i in subset]) for full in self._distinct}
+        seen.discard(tuple([len(self.members[i]) for i in subset]))
+        decode = [self._decode[i] for i in subset]
+        ordered = tuple(
+            tuple([d[rank] for d, rank in zip(decode, pattern)]) for pattern in sorted(seen)
+        )
         self._groups[subset] = ordered
         return ordered
 
@@ -208,14 +230,25 @@ class MemberTable:
         return hull_zero_mass(self.hull_rows(subset, patterns), point, effective)
 
 
+def _world_table(members, values) -> MemberTable:
+    """The table of generalized members given as per-world values."""
+    members = [tuple(m) for m in members]
+    num_worlds = len(members[0]) if members else 0
+    table = MemberTable([value_levels(m) for m in members], values, num_worlds)
+    if any(len(m) != num_worlds for m in members):
+        raise CoherenceError("member world counts differ")
+    return table
+
+
 def check_coherence_members(members, values) -> CoherenceVerdict:
-    """Gilio's iterative check over generalized members.
+    """Gilio's iterative check over generalized members, given as
+    per-world values (None when void).
 
     Each round tests the current subfamily and continues with its
     zero-antecedent-mass members; an incoherent verdict reports the
     support of the separating stakes within the failing round, on which
     they are a Dutch book."""
-    return _gilio_check(MemberTable(members, values))
+    return _gilio_check(_world_table(members, values))
 
 
 def _gilio_check(table: MemberTable) -> CoherenceVerdict:
@@ -244,8 +277,8 @@ def _gilio_check(table: MemberTable) -> CoherenceVerdict:
 # -- public operations on assessments ---------------------------------------
 
 def _member_table(assessment: Assessment, universe: Universe) -> MemberTable:
-    members = [world_values(ce, universe) for ce in assessment.family]
-    return MemberTable(members, assessment.values)
+    levels = [world_levels(ce, universe) for ce in assessment.family]
+    return MemberTable(levels, assessment.values, len(universe))
 
 
 def _constituent_points(assessment: Assessment, universe: Universe) -> list:
@@ -267,23 +300,32 @@ def check_coherence(assessment: Assessment, universe: Universe) -> CoherenceVerd
     """Gilio's iterative hull test: at most one round per member, each a
     hull LP on the current subfamily plus the LPs that find its
     zero-antecedent-mass members (see check_coherence_members)."""
-    table = _member_table(assessment, universe)
-    return check_coherence_members(table.members, table.values)
+    return _gilio_check(_member_table(assessment, universe))
 
 
 def random_gain(assessment: Assessment, stakes: Sequence, constituent: Constituent):
     """Bettor's gain on one constituent for the given stakes."""
+    return _gains(assessment, stakes, (constituent,))[0]
+
+
+def _gains(assessment: Assessment, stakes: Sequence, constituents) -> list:
+    """Bettor's gain on each constituent: on every effective member, the
+    stake times 1 - p where it is true and minus the stake times p where
+    it is false."""
     if len(stakes) != len(assessment.family):
         raise CoherenceError("one stake per family member required")
-    total = rat(0)
-    for i, code in enumerate(constituent.signature):
-        s = rat(stakes[i])
-        p = assessment.values[i]
-        if code == SIG_TRUE:
-            total += s * (1 - p)
-        elif code == SIG_FALSE:
-            total -= s * p
-    return total
+    stakes = [rat(s) for s in stakes]
+    terms = {
+        SIG_TRUE: [s * (1 - p) for s, p in zip(stakes, assessment.values)],
+        SIG_FALSE: [-s * p for s, p in zip(stakes, assessment.values)],
+    }
+    return [
+        sum(
+            (terms[code][i] for i, code in enumerate(c.signature) if code != SIG_VOID),
+            ZERO,
+        )
+        for c in constituents
+    ]
 
 
 def penalty_loss(assessment: Assessment, constituent: Constituent):
@@ -318,15 +360,14 @@ def dutch_book(
         [assessment.family[i] for i in subset],
         [assessment.values[i] for i in subset],
     )
-    table = enumerate_constituents(sub.family, universe)
-    margin = None
-    for constituent in table.constituents:
-        g = random_gain(sub, verdict.stakes, constituent)
-        if margin is None or g < margin:
-            margin = g
+    constituents = enumerate_constituents(sub.family, universe).constituents
+    gains = tuple(
+        zip([c.index for c in constituents], _gains(sub, verdict.stakes, constituents))
+    )
+    margin = min((g for _index, g in gains), default=None)
     if margin is None or margin <= 0:
         raise CoherenceError("separating stakes fail the positive-gain check")
-    return DutchBook(subset, verdict.stakes, margin)
+    return DutchBook(subset, verdict.stakes, margin, gains)
 
 
 # -- penalty-criterion dominance --------------------------------------------
@@ -487,12 +528,15 @@ class ExtensionProblem:
         if not verdict.coherent:
             raise CoherenceError("base assessment is incoherent")
         self.assessment = assessment
-        members = [world_values(ce, universe) for ce in assessment.family]
+        levels = [world_levels(ce, universe) for ce in assessment.family]
         if isinstance(target, ConditionalEvent):
-            members.append(world_values(target, universe))
+            levels.append(world_levels(target, universe))
         else:
-            members.append(tuple(target.world_values(universe)))
-        self.table = MemberTable(members, list(assessment.values) + [ZERO])
+            values = tuple(target.world_values(universe))
+            if len(values) != len(universe):
+                raise CoherenceError("member world counts differ")
+            levels.append(value_levels(values))
+        self.table = MemberTable(levels, list(assessment.values) + [ZERO], len(universe))
 
     def coherent_at(self, t) -> bool:
         """Is the base plus the target at value t coherent?  Gilio's
@@ -526,6 +570,4 @@ def extension_bounds_members(members, values, target) -> ExtensionBounds:
     values, which must be coherent."""
     if not check_coherence_members(members, values).coherent:
         raise CoherenceError("base assessment is incoherent")
-    return _extension_interval(
-        MemberTable(list(members) + [tuple(target)], list(values) + [ZERO])
-    )
+    return _extension_interval(_world_table(list(members) + [tuple(target)], list(values) + [ZERO]))

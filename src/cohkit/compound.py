@@ -24,8 +24,9 @@ from .coherence import (
     Assessment,
     CoherenceVerdict,
     ExtensionProblem,
+    MemberTable,
+    _gilio_check,
     check_coherence,
-    check_coherence_members,
 )
 from .events import (
     Formula,
@@ -36,6 +37,8 @@ from .events import (
     Universe,
     conditional_sets,
     enumerate_constituents,
+    refine,
+    set_bits,
 )
 from .rationals import ONE, ZERO, rat
 from .trivalent import ConditionalEvent, negate, _pair_region_universes, _A, _H, _B, _K
@@ -161,17 +164,17 @@ def event_quantity(
     """A conditional event as a random quantity: 1, 0, or its probability."""
     prob = _lf(probability)
     true, false, _void = conditional_sets(ce, universe)
-    forms = []
-    for pos in range(len(universe)):
-        bit = 1 << pos
-        if true & bit:
-            forms.append(_lf(1))
-        elif false & bit:
-            forms.append(_lf(0))
-        else:
-            forms.append(None)
+    forms: list = [None] * len(universe)
+    _fill(forms, true, _lf(1))
+    _fill(forms, false, _lf(0))
     name = prob.terms[0][0] if (prob.const == 0 and len(prob.terms) == 1) else "p"
     return ConditionalRandomQuantity(universe, ce.antecedent, tuple(forms), name)
+
+
+def _fill(forms: list, bits: int, value) -> None:
+    """Set the forms of the worlds in bits to value."""
+    for pos in set_bits(bits):
+        forms[pos] = value
 
 
 def _binary_compound(ce1, ce2, universe, x, y, self_name, conjunction: bool):
@@ -199,9 +202,7 @@ def _binary_compound(ce1, ce2, universe, x, y, self_name, conjunction: bool):
                 value = y
             else:
                 value = x
-        for pos in range(len(universe)):
-            if constituent.world_bits >> pos & 1:
-                forms[pos] = value
+        _fill(forms, constituent.world_bits, value)
     conditioning = Or(ce1.antecedent, ce2.antecedent)
     return ConditionalRandomQuantity(universe, conditioning, tuple(forms), self_name)
 
@@ -282,9 +283,7 @@ def _nary_compound(family, universe, previsions, conjunction: bool, check: bool)
                 value = _lf(0)
             else:
                 value = _lf(prevs[voids])
-        for pos in range(len(universe)):
-            if constituent.world_bits >> pos & 1:
-                forms[pos] = value
+        _fill(forms, constituent.world_bits, value)
     conditioning = family[0].antecedent
     for ce in family[1:]:
         conditioning = Or(conditioning, ce.antecedent)
@@ -294,30 +293,28 @@ def _nary_compound(family, universe, previsions, conjunction: bool, check: bool)
     )
 
 
-def _compound_world_values(family, universe, prevs, subset: frozenset, conjunction: bool):
-    """Per-world numeric values of the subset compound, None when all its
-    antecedents fail."""
+def _compound_levels(family, universe, prevs, subset: frozenset, conjunction: bool):
+    """(value, world bitset) levels of the subset compound, void where
+    all its antecedents fail.  An operand false (conjunction) or true
+    (disjunction) absorbs the world; the other worlds are split by their
+    void operands, and a partial void set takes its prevision."""
     indices = sorted(subset)
     sets = [conditional_sets(family[i], universe) for i in indices]
-    out = []
-    for pos in range(len(universe)):
-        bit = 1 << pos
-        voids = set()
-        absorbed = False  # some operand false (conjunction) or true (disjunction)
-        for k, (true, false, void) in enumerate(sets):
-            if void & bit:
-                voids.add(indices[k])
-            elif (false if conjunction else true) & bit:
-                absorbed = True
-        if len(voids) == len(sets):
-            out.append(None)
-        elif absorbed:
-            out.append(ZERO if conjunction else ONE)
-        elif voids:
-            out.append(prevs[frozenset(voids)])
-        else:
-            out.append(ONE if conjunction else ZERO)
-    return tuple(out)
+    absorbed = 0
+    for true, false, _void in sets:
+        absorbed |= false if conjunction else true
+    # each operand splits the blocks by its void set: True where void
+    classes = refine(
+        universe.all_set & ~absorbed, [(((True, void),), False) for _t, _f, void in sets]
+    )
+    levels = [(ZERO if conjunction else ONE, absorbed)]
+    for pattern, bits in classes.items():
+        voids = frozenset(i for i, is_void in zip(indices, pattern) if is_void)
+        if not voids:
+            levels.append((ONE if conjunction else ZERO, bits))
+        elif len(voids) < len(indices):
+            levels.append((prevs[voids], bits))
+    return tuple(levels)
 
 
 def _system_coherent(family, universe, prevs, conjunction: bool) -> bool:
@@ -327,12 +324,11 @@ def _system_coherent(family, universe, prevs, conjunction: bool) -> bool:
         for size in range(1, len(family) + 1)
         for s in itertools.combinations(range(len(family)), size)
     ]
-    members = [
-        _compound_world_values(family, universe, prevs, s, conjunction)
-        for s in subsets
+    levels = [
+        _compound_levels(family, universe, prevs, s, conjunction) for s in subsets
     ]
     values = [prevs[s] for s in subsets]
-    return check_coherence_members(members, values).coherent
+    return _gilio_check(MemberTable(levels, values, len(universe))).coherent
 
 
 def gs_and_n(
@@ -395,14 +391,12 @@ def mu_previsions(
     for size in range(1, len(family) + 1):
         for subset in itertools.combinations(range(len(family)), size):
             s = frozenset(subset)
-            values = _compound_world_values(family, universe, prevs, s, conjunction)
             num = ZERO
             den = ZERO
-            for pos, value in enumerate(values):
-                if value is None:
-                    continue
-                den += masses[pos]
-                num += masses[pos] * value
+            for value, bits in _compound_levels(family, universe, prevs, s, conjunction):
+                mass = sum((masses[pos] for pos in set_bits(bits)), ZERO)
+                den += mass
+                num += mass * value
             if den == 0:
                 raise CompoundError("zero mass on conditioning formula")
             prevs[s] = num / den
@@ -626,7 +620,7 @@ IDENTITIES = ("p1", "p2a", "p2b", "p2c", "p3", "chain")
 
 
 def _forms_equal(q1: ConditionalRandomQuantity, q2: ConditionalRandomQuantity) -> bool:
-    for a, b in zip(q1.world_forms, q2.world_forms):
+    for a, b in _distinct_form_pairs(q1, q2):
         if (a is None) != (b is None):
             return False
         if a is not None and a != b:
@@ -663,9 +657,20 @@ def _check_p2b() -> bool:
     return _forms_equal_modulo_void(conj, target, x)
 
 
+def _distinct_form_pairs(q1, q2) -> list:
+    """The distinct (q1 form, q2 form) pairs over the worlds.  Worlds are
+    grouped by the identities of their forms, which compound quantities
+    share across the worlds of a constituent, so the forms themselves
+    are compared once per pair rather than once per world."""
+    forms = q1.world_forms + q2.world_forms
+    objects = dict(zip(map(id, forms), forms))
+    pairs = set(zip(map(id, q1.world_forms), map(id, q2.world_forms)))
+    return [(objects[a], objects[b]) for a, b in pairs]
+
+
 def _forms_equal_modulo_void(q1, q2, void_value) -> bool:
     """Equality where q1's void worlds must carry q2's value void_value."""
-    for pos, (a, b) in enumerate(zip(q1.world_forms, q2.world_forms)):
+    for a, b in _distinct_form_pairs(q1, q2):
         if a is None and b is None:
             continue
         if a is None:

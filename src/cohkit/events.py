@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from itertools import compress, count
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 MAX_ATOMS = 16
 
@@ -228,12 +229,83 @@ def parse_formula(text: str, known_atoms: Optional[Sequence[str]] = None) -> For
     return node
 
 
+def _formula_bits(f: Formula, atom_sets: Mapping[str, int], all_set: int, cache: dict) -> int:
+    """Bitset of the positions where the formula holds, given the atoms'
+    bitsets over the same positions."""
+    cached = cache.get(f)
+    if cached is not None:
+        return cached
+    if isinstance(f, Atom):
+        try:
+            bits = atom_sets[f.name]
+        except KeyError:
+            raise UnknownAtomError(f.name) from None
+    elif isinstance(f, Const):
+        bits = all_set if f.value else 0
+    elif isinstance(f, Not):
+        bits = all_set & ~_formula_bits(f.operand, atom_sets, all_set, cache)
+    elif isinstance(f, And):
+        bits = _formula_bits(f.left, atom_sets, all_set, cache) & _formula_bits(
+            f.right, atom_sets, all_set, cache
+        )
+    elif isinstance(f, Or):
+        bits = _formula_bits(f.left, atom_sets, all_set, cache) | _formula_bits(
+            f.right, atom_sets, all_set, cache
+        )
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    cache[f] = bits
+    return bits
+
+
+# one byte per bit position, 0 or 1, lowest position first
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_FROM_FLAGS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _flags(bits: int, width: int) -> bytes:
+    return format(bits, f"0{width}b").encode()[::-1].translate(_TO_FLAGS)
+
+
+def _from_flags(flags) -> int:
+    return int(bytes(flags)[::-1].translate(_FROM_FLAGS) or b"0", 2)
+
+
+def set_bits(bits: int) -> list:
+    """Positions of the set bits of a bitset, in ascending order."""
+    return list(compress(count(), _flags(bits, bits.bit_length())))
+
+
+def bitset(positions: Iterable[int], width: int) -> int:
+    """Bitset over width positions with the given positions set."""
+    flags = bytearray(width)
+    for pos in positions:
+        flags[pos] = 1
+    return _from_flags(flags)
+
+
+def _cube_atom_sets(k: int) -> list:
+    """Bitset of each atom over the 2^k masks: bit m is set when mask m
+    sets the atom's bit, that is 2^i zeros then 2^i ones, repeated by
+    multiplying with the repunit of period 2^(i+1)."""
+    size = 1 << k
+    full = (1 << size) - 1
+    out = []
+    for i in range(k):
+        half = 1 << i
+        block = ((1 << half) - 1) << half
+        out.append(block * (full // ((1 << 2 * half) - 1)))
+    return out
+
+
 class Universe:
     """Atom list plus constraints; enumerates the surviving worlds.
 
     Constraints are (formula, truth) pairs: the formula is asserted
     certain (truth=True) or impossible (truth=False) and worlds violating
-    any of them are dropped.  At least one world must survive.
+    any of them are dropped.  At least one world must survive.  Every
+    formula is evaluated as a bitset, first on the cube of all 2^k masks
+    (for the constraints) and then on the surviving worlds.
     """
 
     def __init__(self, atoms: Sequence[str], constraints: Sequence[tuple] = ()):
@@ -250,49 +322,35 @@ class Universe:
         self._index = {a: i for i, a in enumerate(atoms)}
         self._cache: dict = {}
 
-        worlds = []
-        for mask in range(1 << len(atoms)):
-            w = {a: bool(mask >> i & 1) for a, i in self._index.items()}
-            if all(eval_formula(f, w) == v for f, v in self.constraints):
-                worlds.append(mask)
-        if not worlds:
+        size = 1 << len(atoms)
+        cube = (1 << size) - 1
+        cube_sets = dict(zip(atoms, _cube_atom_sets(len(atoms))))
+        keep = cube
+        cube_cache: dict = {}
+        for f, v in self.constraints:
+            bits = _formula_bits(f, cube_sets, cube, cube_cache)
+            keep &= bits if v else cube & ~bits
+        if keep == 0:
             raise EmptyUniverseError("constraints admit no world")
-        self.worlds = tuple(worlds)
-        self.all_set = (1 << len(worlds)) - 1
-        # per-atom bitsets over world positions
-        self._atom_sets = {}
-        for a, i in self._index.items():
-            bits = 0
-            for pos, mask in enumerate(worlds):
-                if mask >> i & 1:
-                    bits |= 1 << pos
-            self._atom_sets[a] = bits
+        if keep == cube:
+            self.worlds = tuple(range(size))
+            self._atom_sets = cube_sets
+        else:
+            # compress each atom's cube bitset to the surviving positions
+            selected = _flags(keep, size)
+            self.worlds = tuple(compress(count(), selected))
+            self._atom_sets = {
+                a: _from_flags(compress(_flags(bits, size), selected))
+                for a, bits in cube_sets.items()
+            }
+        self.all_set = (1 << len(self.worlds)) - 1
 
     def __len__(self) -> int:
         return len(self.worlds)
 
     def world_set(self, f: Formula) -> int:
         """Bitset of world positions where the formula holds."""
-        cached = self._cache.get(f)
-        if cached is not None:
-            return cached
-        if isinstance(f, Atom):
-            try:
-                bits = self._atom_sets[f.name]
-            except KeyError:
-                raise UnknownAtomError(f.name) from None
-        elif isinstance(f, Const):
-            bits = self.all_set if f.value else 0
-        elif isinstance(f, Not):
-            bits = self.all_set & ~self.world_set(f.operand)
-        elif isinstance(f, And):
-            bits = self.world_set(f.left) & self.world_set(f.right)
-        elif isinstance(f, Or):
-            bits = self.world_set(f.left) | self.world_set(f.right)
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self._cache[f] = bits
-        return bits
+        return _formula_bits(f, self._atom_sets, self.all_set, self._cache)
 
     def satisfiable(self, f: Formula) -> bool:
         return self.world_set(f) != 0
@@ -326,11 +384,7 @@ class Constituent:
     is_c0: bool
 
     def worlds(self, universe: Universe) -> list:
-        return [
-            universe.assignment(pos)
-            for pos in range(len(universe))
-            if self.world_bits >> pos & 1
-        ]
+        return [universe.assignment(pos) for pos in set_bits(self.world_bits)]
 
 
 @dataclass(frozen=True)
@@ -362,6 +416,32 @@ def conditional_sets(member, universe: Universe) -> tuple:
     return true, false, void
 
 
+def refine(block: int, members: Sequence[tuple]) -> dict:
+    """Partition refinement of a world bitset by a family of members.
+
+    members: one (levels, void) pair per member, where levels are
+    disjoint (key, bitset) pairs and the member takes the key void on
+    the worlds of no level.  Returns the nonempty classes of block, as
+    pattern (one key per member) -> bitset; the work is one AND per
+    class, member and level, however many worlds the classes hold.
+    """
+    classes = {(): block} if block else {}
+    for levels, void in members:
+        split = {}
+        for pattern, bits in classes.items():
+            for key, level in levels:
+                part = bits & level
+                if part:
+                    split[pattern + (key,)] = part
+                    bits ^= part
+                    if not bits:
+                        break
+            if bits:
+                split[pattern + (void,)] = bits
+        classes = split
+    return classes
+
+
 def enumerate_constituents(family: Sequence, universe: Universe) -> ConstituentTable:
     """Constituents generated by a family of conditional events.
 
@@ -371,20 +451,11 @@ def enumerate_constituents(family: Sequence, universe: Universe) -> ConstituentT
     """
     if not family:
         raise EventError("empty family")
-    sets = [conditional_sets(m, universe) for m in family]
-    groups: dict = {}
-    for pos in range(len(universe)):
-        bit = 1 << pos
-        sig = []
-        for true, false, _void in sets:
-            if true & bit:
-                sig.append(SIG_TRUE)
-            elif false & bit:
-                sig.append(SIG_FALSE)
-            else:
-                sig.append(SIG_VOID)
-        key = tuple(sig)
-        groups[key] = groups.get(key, 0) | bit
+    members = []
+    for m in family:
+        true, false, _void = conditional_sets(m, universe)
+        members.append((((SIG_TRUE, true), (SIG_FALSE, false)), SIG_VOID))
+    groups = refine(universe.all_set, members)
 
     all_void = tuple([SIG_VOID] * len(family))
     c0 = None

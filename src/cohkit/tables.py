@@ -262,19 +262,19 @@ def _p4_star(logic: str, interval_rows, tolerance) -> StarCell:
 def _p5_gs_pointwise(x, y, universe) -> bool:
     """Every constituent satisfies conj + disj = first + second, which
     pins the disjunction prevision to x + y - z for every coherent z."""
-    from .coherence import MemberTable, world_values
+    from .coherence import MemberTable, value_levels, world_levels
 
     ah = ConditionalEvent(_A, _H)
     bk = ConditionalEvent(_B, _K)
     conj = gs_and(ah, bk, x, y, universe, check=False)
     disj = gs_or(ah, bk, x, y, universe, check=False)
-    members = [
-        world_values(ah, universe),
-        world_values(bk, universe),
-        conj.world_values(universe),
-        disj.world_values(universe),
+    levels = [
+        world_levels(ah, universe),
+        world_levels(bk, universe),
+        value_levels(conj.world_values(universe)),
+        value_levels(disj.world_values(universe)),
     ]
-    table = MemberTable(members, [x, y, ZERO, ZERO])
+    table = MemberTable(levels, [x, y, ZERO, ZERO], len(universe))
     for pattern in table.patterns((0, 1, 2, 3)):
         row = [
             entry if entry is not None else (x, y)[k]

@@ -18,6 +18,10 @@ The projection oracle finds the point of a hull nearest to p by trying
 every subset of the points: the projection onto the subset's affine hull
 counts when its coefficients are nonnegative, and the nearest one wins.
 
+The per-world scans are how cohkit built its worlds, constituents,
+member patterns and compound values before it refined world bitsets:
+every world assignment is evaluated one by one with eval_formula.
+
 The Fraction tableau kernel is the simplex cohkit.lp ran before its
 integer rows: every entry a Fraction, every pivot a Fraction division
 and subtraction per entry.  It takes the same pivots, so the integer
@@ -27,7 +31,15 @@ kernel must reproduce its results, bases and tableaux exactly.
 import itertools
 from fractions import Fraction
 
+from cohkit.events import (
+    SIG_FALSE,
+    SIG_TRUE,
+    SIG_VOID,
+    conditional_sets,
+    eval_formula,
+)
 from cohkit.lp import HullOutside, hull_membership
+from cohkit.rationals import ONE, ZERO
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -96,20 +108,101 @@ def _pattern_key(pattern):
     return [(1,) if entry is None else (0, -entry) for entry in pattern]
 
 
-def subfamily_points(members, values, subset):
-    """Constituent points of a subfamily of generalized members (per-world
-    values, None when void), in cohkit's pattern order: voids carry the
-    assessed value and the all-void pattern is left out."""
+def subfamily_patterns(members, subset):
+    """Distinct value patterns of a subfamily of generalized members
+    (per-world values, None when void), the all-void one left out, in
+    cohkit's order: per member, values largest first and void last."""
     patterns = set()
     for pos in range(len(members[0])):
         pattern = tuple(members[i][pos] for i in subset)
         if any(entry is not None for entry in pattern):
             patterns.add(pattern)
-    ordered = sorted(patterns, key=_pattern_key)
+    return sorted(patterns, key=_pattern_key)
+
+
+def subfamily_points(members, values, subset):
+    """Constituent points of a subfamily in subfamily_patterns order:
+    voids carry the assessed value."""
     return [
         tuple(values[i] if entry is None else entry for i, entry in zip(subset, pattern))
-        for pattern in ordered
+        for pattern in subfamily_patterns(members, subset)
     ]
+
+
+# -- per-world scans -------------------------------------------------------
+
+
+def _assignment(atoms, mask):
+    return {a: bool(mask >> i & 1) for i, a in enumerate(atoms)}
+
+
+def world_filter(atoms, constraints):
+    """(worlds, atom bitsets over world positions) of a universe: every
+    mask kept whose assignment satisfies each constraint."""
+    worlds = [
+        mask
+        for mask in range(1 << len(atoms))
+        if all(eval_formula(f, _assignment(atoms, mask)) == v for f, v in constraints)
+    ]
+    atom_sets = {}
+    for i, a in enumerate(atoms):
+        atom_sets[a] = sum(1 << pos for pos, mask in enumerate(worlds) if mask >> i & 1)
+    return tuple(worlds), atom_sets
+
+
+def formula_bits(f, universe):
+    """Bitset of the world positions where eval_formula holds."""
+    return sum(
+        1 << pos
+        for pos, mask in enumerate(universe.worlds)
+        if eval_formula(f, _assignment(universe.atoms, mask))
+    )
+
+
+def world_signatures(family, universe):
+    """Sorted (signature, world bitset) classes of a family of
+    conditional events, the all-void one included, by a per-world scan."""
+    sets = [conditional_sets(m, universe) for m in family]
+    groups = {}
+    for pos in range(len(universe)):
+        bit = 1 << pos
+        sig = []
+        for true, false, _void in sets:
+            if true & bit:
+                sig.append(SIG_TRUE)
+            elif false & bit:
+                sig.append(SIG_FALSE)
+            else:
+                sig.append(SIG_VOID)
+        key = tuple(sig)
+        groups[key] = groups.get(key, 0) | bit
+    return sorted(groups.items())
+
+
+def compound_world_values(family, universe, prevs, subset, conjunction):
+    """Per-world numeric values of the subset compound, None when all its
+    antecedents fail."""
+    indices = sorted(subset)
+    sets = [conditional_sets(family[i], universe) for i in indices]
+    out = []
+    for pos in range(len(universe)):
+        bit = 1 << pos
+        voids = set()
+        absorbed = False  # some operand false (conjunction) or true (disjunction)
+        for k, (true, false, void) in enumerate(sets):
+            if void & bit:
+                voids.add(indices[k])
+            elif (false if conjunction else true) & bit:
+                absorbed = True
+        if len(voids) == len(sets):
+            out.append(None)
+        elif absorbed:
+            out.append(ZERO if conjunction else ONE)
+        elif voids:
+            out.append(prevs[frozenset(voids)])
+        else:
+            out.append(ONE if conjunction else ZERO)
+    return tuple(out)
 
 
 def _subsets_in_order(n):

@@ -8,6 +8,7 @@ import pytest
 import cohkit.cli
 import cohkit.coherence
 import cohkit.compound
+import cohkit.events
 import cohkit.tables
 from cohkit.cli import main
 from cohkit.rationals import rat
@@ -106,6 +107,21 @@ def test_entails_commands():
     )
     assert code == 1
     assert parse_report(text).get("p-entails") is False
+
+
+def test_entails_on_sixteen_atoms_without_per_world_evaluation(monkeypatch):
+    """The 16-atom widening of chain_entail.coh (13 idle atoms) gives the
+    same verdicts with formula evaluation world by world disabled, so
+    worlds, constituents and compound values all come from bitsets."""
+
+    def refuse(*_args):
+        raise AssertionError("eval_formula called")
+
+    _code, narrow = run_cli("entails", str(DATA / "chain_entail.coh"))
+    monkeypatch.setattr(cohkit.events, "eval_formula", refuse)
+    code, wide = run_cli("entails", str(DATA / "chain_entail_wide.coh"))
+    assert code == 0
+    assert wide == narrow
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from cohkit.coherence import (
     extension_bounds,
     penalty_loss,
     random_gain,
+    world_levels,
     world_values,
 )
 from cohkit.events import Atom, TOP, Universe, enumerate_constituents
@@ -45,7 +46,9 @@ def additive_triple():
 def points(assessment, universe):
     """The family's constituent points, read from its MemberTable."""
     table = MemberTable(
-        [world_values(ce, universe) for ce in assessment.family], assessment.values
+        [world_levels(ce, universe) for ce in assessment.family],
+        assessment.values,
+        len(universe),
     )
     return tuple(table.hull_rows(tuple(range(len(assessment.family)))))
 
@@ -118,6 +121,21 @@ def test_dutch_book_positive_gains(additive_triple):
     assert max(abs(s) for s in book.stakes) == 1
 
 
+@pytest.mark.parametrize("fixture", ["additive_triple", "hull_pass_subfamily_fail"])
+def test_dutch_book_gains_are_the_random_gains(fixture, request):
+    u, assessment = request.getfixturevalue(fixture)
+    book = dutch_book(assessment, u)
+    sub = Assessment.build(
+        [assessment.family[i] for i in book.subfamily],
+        [assessment.values[i] for i in book.subfamily],
+    )
+    constituents = enumerate_constituents(sub.family, u).constituents
+    assert book.gains == tuple(
+        (c.index, random_gain(sub, book.stakes, c)) for c in constituents
+    )
+    assert book.margin == min(g for _index, g in book.gains)
+
+
 def test_sure_event_at_one_is_inside():
     u = Universe(["A"])
     sure = Assessment.build([ConditionalEvent(TOP, TOP)], [rat(1)])
@@ -174,12 +192,18 @@ def test_member_table_scans_worlds_once(monkeypatch):
 
     monkeypatch.setattr(MemberTable, "_scan_worlds", counting)
     u = free_universe()
-    members = [world_values(ce, u) for ce in (AH, BK, ConditionalEvent(A & B, H | K))]
-    table = MemberTable(members, [rat(1, 2), rat(1, 3), rat(1, 4)])
+    family = (AH, BK, ConditionalEvent(A & B, H | K))
+    values = [rat(1, 2), rat(1, 3), rat(1, 4)]
+    members = [world_values(ce, u) for ce in family]
+    table = MemberTable([world_levels(ce, u) for ce in family], values, len(u))
     subsets = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
     for subset in subsets:
         table.hull_rows(subset)
         table.subfamily_hull(subset)
+    assert len(scans) == 1
+    # one check_coherence call scans the worlds once
+    scans.clear()
+    check_coherence(Assessment.build(family, values), u)
     assert len(scans) == 1
     # the projected patterns are the ones a per-world scan finds
     for subset in subsets:

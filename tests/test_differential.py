@@ -10,12 +10,11 @@ occur), sometimes perturbed into incoherence.
 import random
 
 from cohkit.coherence import check_coherence_members, world_values
-from cohkit.compound import _compound_world_values
 from cohkit.events import Atom, EventError, TOP, Universe
 from cohkit.rationals import ONE, ZERO, rat
 from cohkit.trivalent import ConditionalEvent
 
-from oracles import all_subfamily_check, subfamily_points
+from oracles import all_subfamily_check, compound_world_values, subfamily_points
 
 NAMES = "ABCDE"
 GRID = (ZERO, ONE, rat(1, 2), rat(1, 3), rat(3, 4))
@@ -85,7 +84,7 @@ def _compound_members(rng, names, universe, masses):
     prevs = {}
     members = []
     for subset in (frozenset([0]), frozenset([1]), frozenset([0, 1])):
-        member = _compound_world_values(family, universe, prevs, subset, True)
+        member = compound_world_values(family, universe, prevs, subset, True)
         value = _prevision(member, masses) if masses is not None else None
         prevs[subset] = rng.choice(GRID) if value is None else value
         members.append(member)
