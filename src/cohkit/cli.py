@@ -21,7 +21,6 @@ from .coherence import (
 )
 from .compound import CompoundError, p_entails, p_entails_absorption
 from .events import EventError
-from .events import enumerate_constituents  # noqa: F401  (perfbench traces this name)
 from .fileio import FileFormatError, parse_assessment_file
 from .lp import kernel_name
 from .rationals import rat

@@ -13,9 +13,10 @@ constituent is excluded throughout (its point is the assessment itself).
 Coherent-extension intervals follow the same iteration, with a pair of
 endpoint LPs per round (see _extension_interval).
 
-The same machinery accepts generalized members given as per-world
-numeric values with voids, which is how conditional random quantities
-from cohkit.compound are checked.
+The same machinery accepts generalized members given as disjoint
+(value, world bitset) levels, void elsewhere, which is how conditional
+random quantities from cohkit.compound are checked, or as per-world
+numeric values with voids.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ from .events import (
     Constituent,
     SIG_FALSE,
     SIG_TRUE,
-    SIG_VOID,
     Universe,
     bitset,
     conditional_sets,
-    enumerate_constituents,
     refine,
     set_bits,
 )
@@ -281,19 +280,13 @@ def _member_table(assessment: Assessment, universe: Universe) -> MemberTable:
     return MemberTable(levels, assessment.values, len(universe))
 
 
-def _constituent_points(assessment: Assessment, universe: Universe) -> list:
-    """Constituent points of the whole family, one row per C_h, h >= 1,
-    in constituent order."""
+def check_hull(assessment: Assessment, universe: Universe):
+    """Full-family hull test only (necessary, not sufficient)."""
     table = _member_table(assessment, universe)
     rows = table.hull_rows(tuple(range(len(table.members))))
     if not rows:
         raise CoherenceError("family has no effective constituent")
-    return rows
-
-
-def check_hull(assessment: Assessment, universe: Universe):
-    """Full-family hull test only (necessary, not sufficient)."""
-    return hull_membership(_constituent_points(assessment, universe), assessment.values)
+    return hull_membership(rows, assessment.values)
 
 
 def check_coherence(assessment: Assessment, universe: Universe) -> CoherenceVerdict:
@@ -304,28 +297,18 @@ def check_coherence(assessment: Assessment, universe: Universe) -> CoherenceVerd
 
 
 def random_gain(assessment: Assessment, stakes: Sequence, constituent: Constituent):
-    """Bettor's gain on one constituent for the given stakes."""
-    return _gains(assessment, stakes, (constituent,))[0]
-
-
-def _gains(assessment: Assessment, stakes: Sequence, constituents) -> list:
-    """Bettor's gain on each constituent: on every effective member, the
-    stake times 1 - p where it is true and minus the stake times p where
-    it is false."""
+    """Bettor's gain on one constituent for the given stakes: on every
+    effective member, the stake times 1 - p where it is true and minus
+    the stake times p where it is false."""
     if len(stakes) != len(assessment.family):
         raise CoherenceError("one stake per family member required")
-    stakes = [rat(s) for s in stakes]
-    terms = {
-        SIG_TRUE: [s * (1 - p) for s, p in zip(stakes, assessment.values)],
-        SIG_FALSE: [-s * p for s, p in zip(stakes, assessment.values)],
-    }
-    return [
-        sum(
-            (terms[code][i] for i, code in enumerate(c.signature) if code != SIG_VOID),
-            ZERO,
-        )
-        for c in constituents
-    ]
+    total = ZERO
+    for s, p, code in zip(stakes, assessment.values, constituent.signature):
+        if code == SIG_TRUE:
+            total += rat(s) * (1 - p)
+        elif code == SIG_FALSE:
+            total -= rat(s) * p
+    return total
 
 
 def penalty_loss(assessment: Assessment, constituent: Constituent):
@@ -356,14 +339,15 @@ def dutch_book(
     if verdict.coherent:
         return None
     subset = verdict.failing_subfamily
-    sub = Assessment.build(
-        [assessment.family[i] for i in subset],
-        [assessment.values[i] for i in subset],
-    )
-    constituents = enumerate_constituents(sub.family, universe).constituents
-    gains = tuple(
-        zip([c.index for c in constituents], _gains(sub, verdict.stakes, constituents))
-    )
+    stakes = [rat(s) for s in verdict.stakes]
+    values = [assessment.values[i] for i in subset]
+    # the subfamily's patterns come in constituent order C_1 .. C_m; the
+    # gain stakes . (q_h - p) adds s (1 - p) on a true member and -s p on
+    # a false one
+    patterns = _member_table(assessment, universe).patterns(subset)
+    win = [s * (1 - p) for s, p in zip(stakes, values)]
+    lose = [-s * p for s, p in zip(stakes, values)]
+    gains = tuple(enumerate(_effective_sums(patterns, win, lose), 1))
     margin = min((g for _index, g in gains), default=None)
     if margin is None or margin <= 0:
         raise CoherenceError("separating stakes fail the positive-gain check")
@@ -393,43 +377,43 @@ def brier_dominator(
     if verdict.coherent:
         return None
     subset = verdict.failing_subfamily
-    sub = Assessment.build(
-        [assessment.family[i] for i in subset],
-        [assessment.values[i] for i in subset],
-    )
-    projected = hull_projection(_constituent_points(sub, universe), sub.values).point
+    table = _member_table(assessment, universe)
+    point = tuple(assessment.values[i] for i in subset)
+    projected = hull_projection(table.hull_rows(subset), point).point
     candidate = list(assessment.values)
     for k, i in enumerate(subset):
         candidate[i] = projected[k]
     candidate = tuple(candidate)
-    if not _dominates(assessment, candidate, universe):
+    if not _dominates(table, candidate):
         raise CoherenceError("projection fails the exact dominance check")
     return candidate
 
 
-def _dominates(assessment: Assessment, candidate: tuple, universe: Universe) -> bool:
-    """Does the candidate weakly penalty-dominate the assessment, with one
-    strict reduction?  Checked on integer rows: with the assessed values
-    and the candidate as ints V and C over their common denominator D, a
-    constituent's penalty changes by D^-2 times the sum over its
-    effective members of (E - C)^2 - (E - V)^2, where E is D on a true
-    member and 0 on a false one."""
-    n = len(assessment.values)
-    ints, scale = integer_row(list(assessment.values) + list(candidate))
+def _dominates(table: MemberTable, candidate: tuple) -> bool:
+    """Does the candidate weakly penalty-dominate the table's values (an
+    assessment of conditional events), with one strict reduction?
+    Checked on integer rows over the full family's patterns: with the
+    assessed values and the candidate as ints V and C over their common
+    denominator D, a constituent's penalty changes by D^-2 times the sum
+    over its effective members of (E - C)^2 - (E - V)^2, where E is D on
+    a true member and 0 on a false one."""
+    n = len(table.values)
+    ints, scale = integer_row(list(table.values) + list(candidate))
     pairs = list(zip(ints[:n], ints[n:]))
-    change = {
-        SIG_TRUE: [(scale - c) ** 2 - (scale - v) ** 2 for v, c in pairs],
-        SIG_FALSE: [c * c - v * v for v, c in pairs],
-        SIG_VOID: [0] * n,
-    }
-    strict = False
-    for constituent in enumerate_constituents(assessment.family, universe).constituents:
-        diff = sum(change[code][i] for i, code in enumerate(constituent.signature))
-        if diff > 0:
-            return False
-        if diff < 0:
-            strict = True
-    return strict
+    on_true = [(scale - c) ** 2 - (scale - v) ** 2 for v, c in pairs]
+    on_false = [c * c - v * v for v, c in pairs]
+    diffs = _effective_sums(table.patterns(tuple(range(n))), on_true, on_false)
+    return all(d <= 0 for d in diffs) and any(d < 0 for d in diffs)
+
+
+def _effective_sums(patterns, on_true, on_false) -> list:
+    """Per pattern of a conditional-event family (entries 1, 0 or None),
+    the sum over its effective members of on_true[i] where the entry is
+    1 and on_false[i] where it is 0."""
+    return [
+        sum(on_true[i] if q else on_false[i] for i, q in enumerate(pattern) if q is not None)
+        for pattern in patterns
+    ]
 
 
 # -- coherent extension bounds ----------------------------------------------
@@ -504,9 +488,9 @@ class ExtensionProblem:
     """Coherent extension of a base assessment by one target object.
 
     The target is a ConditionalEvent or anything exposing
-    world_values(universe) -> per-world values (None when void), such as
-    an instantiated conditional random quantity.  Both kinds take the
-    same route: exact endpoint LPs by Gilio's iteration
+    numeric_levels(universe) -> disjoint (value, world bitset) levels,
+    void elsewhere, such as an instantiated conditional random quantity.
+    Both kinds take the same route: exact endpoint LPs by Gilio's iteration
     (_extension_interval).  verdict: the base's check_coherence result,
     when already known.
     """
@@ -532,10 +516,7 @@ class ExtensionProblem:
         if isinstance(target, ConditionalEvent):
             levels.append(world_levels(target, universe))
         else:
-            values = tuple(target.world_values(universe))
-            if len(values) != len(universe):
-                raise CoherenceError("member world counts differ")
-            levels.append(value_levels(values))
+            levels.append(target.numeric_levels(universe))
         self.table = MemberTable(levels, list(assessment.values) + [ZERO], len(universe))
 
     def coherent_at(self, t) -> bool:
@@ -558,7 +539,7 @@ def extension_bounds(
 ) -> ExtensionBounds:
     """Interval of values coherently extending the assessment to the
     target (a ConditionalEvent, or a numeric-valued random quantity
-    exposing world_values).  The endpoints are exact; tolerance is
+    exposing numeric_levels).  The endpoints are exact; tolerance is
     accepted for older callers and ignored.  verdict: the assessment's
     check_coherence result, when already known."""
     return ExtensionProblem(assessment, target, universe, cap, verdict).bounds()

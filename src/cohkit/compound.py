@@ -5,8 +5,9 @@ but a finitely-valued random quantity conditioned on the disjunction of
 the antecedents: the binary conjunction takes 1 where both operands are
 true, 0 where either is false, the opposite operand's probability where
 exactly one is void, and its own prevision where both are void.  Values
-are stored as linear forms over named prevision symbols so identities
-can be checked structurally before any numbers are plugged in.
+are stored as linear forms over named prevision symbols, one per level
+(a world bitset of the constituent partition), so identities can be
+checked structurally before any numbers are plugged in.
 
 Coherence of prevision systems is decided by the same constituent-point
 hull machinery as for plain conditional events, with void coordinates
@@ -28,18 +29,7 @@ from .coherence import (
     _gilio_check,
     check_coherence,
 )
-from .events import (
-    Formula,
-    Or,
-    SIG_FALSE,
-    SIG_TRUE,
-    SIG_VOID,
-    Universe,
-    conditional_sets,
-    enumerate_constituents,
-    refine,
-    set_bits,
-)
+from .events import Formula, Or, Universe, conditional_sets, refine, set_bits
 from .rationals import ONE, ZERO, rat
 from .trivalent import ConditionalEvent, negate, _pair_region_universes, _A, _H, _B, _K
 
@@ -124,38 +114,55 @@ def _lf(value) -> LinForm:
 
 @dataclass(frozen=True)
 class ConditionalRandomQuantity:
-    """Value per world (linear forms), conditioned on a formula.
+    """Linear-form values on world bitsets, conditioned on a formula.
 
-    world_forms holds one LinForm per universe world, None exactly on the
-    worlds where the conditioning formula fails; there the quantity is
-    worth its own prevision, named by self_symbol.
+    levels holds disjoint (LinForm, world bitset) pairs; the quantity is
+    void on the worlds of no level, exactly where the conditioning
+    formula fails, and there it is worth its own prevision, named by
+    self_symbol.
     """
 
     universe: Universe
     conditioning: Formula
-    world_forms: tuple
+    levels: tuple
     self_symbol: str
 
     def substitute(self, mapping: Mapping[str, object]) -> "ConditionalRandomQuantity":
         return ConditionalRandomQuantity(
             self.universe,
             self.conditioning,
-            tuple(f if f is None else f.substitute(mapping) for f in self.world_forms),
+            tuple((f.substitute(mapping), bits) for f, bits in self.levels),
             self.self_symbol,
         )
 
-    def world_values(self, universe: Universe):
-        """Numeric per-world values for the coherence engine."""
-        if universe is not self.universe and universe.worlds != self.universe.worlds:
+    def numeric_levels(self, universe: Universe) -> tuple:
+        """(value, world bitset) levels for the coherence engine over a
+        universe with the same atoms and worlds."""
+        if universe is not self.universe and (
+            universe.atoms != self.universe.atoms or universe.worlds != self.universe.worlds
+        ):
             raise CompoundError("universe mismatch")
-        return tuple(
-            None if f is None else f.constant_value() for f in self.world_forms
-        )
+        return tuple((f.constant_value(), bits) for f, bits in self.levels)
+
+    @property
+    def world_forms(self) -> tuple:
+        """One LinForm per world, None where void (a per-world view)."""
+        return _per_world(self.levels, len(self.universe))
+
+    def world_values(self, universe: Universe) -> tuple:
+        """Numeric per-world values, None where void (a per-world view)."""
+        return _per_world(self.numeric_levels(universe), len(universe))
 
     def values_in_range(self) -> bool:
-        return all(
-            f is None or (0 <= f.constant_value() <= 1) for f in self.world_forms
-        )
+        return all(0 <= f.constant_value() <= 1 for f, _bits in self.levels)
+
+
+def _per_world(levels, width: int) -> tuple:
+    out: list = [None] * width
+    for value, bits in levels:
+        for pos in set_bits(bits):
+            out[pos] = value
+    return tuple(out)
 
 
 def event_quantity(
@@ -164,53 +171,30 @@ def event_quantity(
     """A conditional event as a random quantity: 1, 0, or its probability."""
     prob = _lf(probability)
     true, false, _void = conditional_sets(ce, universe)
-    forms: list = [None] * len(universe)
-    _fill(forms, true, _lf(1))
-    _fill(forms, false, _lf(0))
+    levels = ((_lf(1), true), (_lf(0), false))
     name = prob.terms[0][0] if (prob.const == 0 and len(prob.terms) == 1) else "p"
-    return ConditionalRandomQuantity(universe, ce.antecedent, tuple(forms), name)
+    return ConditionalRandomQuantity(universe, ce.antecedent, levels, name)
 
 
-def _fill(forms: list, bits: int, value) -> None:
-    """Set the forms of the worlds in bits to value."""
-    for pos in set_bits(bits):
-        forms[pos] = value
-
-
-def _binary_compound(ce1, ce2, universe, x, y, self_name, conjunction: bool):
-    table = enumerate_constituents([ce1, ce2], universe)
-    x = _lf(x)
-    y = _lf(y)
-    forms: list = [None] * len(universe)
-    for constituent in table.constituents:
-        s1, s2 = constituent.signature
-        if conjunction:
-            if SIG_FALSE in (s1, s2):
-                value = _lf(0)
-            elif s1 == SIG_TRUE and s2 == SIG_TRUE:
-                value = _lf(1)
-            elif s1 == SIG_TRUE:  # other operand void
-                value = y
-            else:
-                value = x
-        else:
-            if SIG_TRUE in (s1, s2):
-                value = _lf(1)
-            elif s1 == SIG_FALSE and s2 == SIG_FALSE:
-                value = _lf(0)
-            elif s1 == SIG_FALSE:
-                value = y
-            else:
-                value = x
-        _fill(forms, constituent.world_bits, value)
-    conditioning = Or(ce1.antecedent, ce2.antecedent)
-    return ConditionalRandomQuantity(universe, conditioning, tuple(forms), self_name)
+def _compound_quantity(family, universe, prevs, conjunction: bool, self_name):
+    """The compound of the whole family, its values as linear forms."""
+    full = frozenset(range(len(family)))
+    levels = _compound_levels(family, universe, prevs, full, conjunction)
+    conditioning = family[0].antecedent
+    for ce in family[1:]:
+        conditioning = Or(conditioning, ce.antecedent)
+    return ConditionalRandomQuantity(
+        universe, conditioning, tuple((_lf(v), bits) for v, bits in levels), self_name
+    )
 
 
 def _require_coherent_pair(ce1, ce2, x, y, universe):
     pair = Assessment.build([ce1, ce2], [x, y])
     if not check_coherence(pair, universe).coherent:
         raise CompoundError("operand assessment is incoherent")
+
+
+_FIRST, _SECOND = frozenset([0]), frozenset([1])
 
 
 def gs_and(
@@ -225,7 +209,8 @@ def gs_and(
     """Five-valued conjunction: 1, 0, x, y, or its own prevision."""
     if check:
         _require_coherent_pair(ce1, ce2, x, y, universe)
-    return _binary_compound(ce1, ce2, universe, x, y, self_name, True)
+    prevs = {_FIRST: x, _SECOND: y}
+    return _compound_quantity((ce1, ce2), universe, prevs, True, self_name)
 
 
 def gs_or(
@@ -240,7 +225,8 @@ def gs_or(
     """Five-valued disjunction, dual to gs_and."""
     if check:
         _require_coherent_pair(ce1, ce2, x, y, universe)
-    return _binary_compound(ce1, ce2, universe, x, y, self_name, False)
+    prevs = {_FIRST: x, _SECOND: y}
+    return _compound_quantity((ce1, ce2), universe, prevs, False, self_name)
 
 
 def _subset_name(prefix: str, subset: frozenset) -> str:
@@ -251,51 +237,20 @@ def _nary_compound(family, universe, previsions, conjunction: bool, check: bool)
     n = len(family)
     if n == 0:
         raise CompoundError("empty family")
-    table = enumerate_constituents(family, universe)
     prevs = {frozenset(k): rat(v) for k, v in previsions.items()}
-    full = frozenset(range(n))
-    needed = [
-        frozenset(s)
-        for size in range(1, n + 1)
-        for s in itertools.combinations(range(n), size)
-    ]
-    for s in needed:
-        if s not in prevs:
-            raise CompoundError(f"missing prevision for subset {sorted(s)}")
+    for size in range(1, n + 1):
+        for s in itertools.combinations(range(n), size):
+            if frozenset(s) not in prevs:
+                raise CompoundError(f"missing prevision for subset {sorted(s)}")
     if check and not _system_coherent(family, universe, prevs, conjunction):
         raise CompoundError("incoherent prevision system")
-
-    forms: list = [None] * len(universe)
-    for constituent in table.constituents:
-        sig = constituent.signature
-        voids = frozenset(i for i, code in enumerate(sig) if code == SIG_VOID)
-        if conjunction:
-            if any(code == SIG_FALSE for code in sig):
-                value = _lf(0)
-            elif not voids:
-                value = _lf(1)
-            else:
-                value = _lf(prevs[voids])
-        else:
-            if any(code == SIG_TRUE for code in sig):
-                value = _lf(1)
-            elif not voids:
-                value = _lf(0)
-            else:
-                value = _lf(prevs[voids])
-        _fill(forms, constituent.world_bits, value)
-    conditioning = family[0].antecedent
-    for ce in family[1:]:
-        conditioning = Or(conditioning, ce.antecedent)
-    prefix = "x" if conjunction else "y"
-    return ConditionalRandomQuantity(
-        universe, conditioning, tuple(forms), _subset_name(prefix, full)
-    )
+    name = _subset_name("x" if conjunction else "y", frozenset(range(n)))
+    return _compound_quantity(family, universe, prevs, conjunction, name)
 
 
 def _compound_levels(family, universe, prevs, subset: frozenset, conjunction: bool):
-    """(value, world bitset) levels of the subset compound, void where
-    all its antecedents fail.  An operand false (conjunction) or true
+    """Disjoint (value, world bitset) levels of the subset compound, void
+    where all its antecedents fail.  An operand false (conjunction) or true
     (disjunction) absorbs the world; the other worlds are split by their
     void operands, and a partial void set takes its prevision."""
     indices = sorted(subset)
@@ -391,16 +346,23 @@ def mu_previsions(
     for size in range(1, len(family) + 1):
         for subset in itertools.combinations(range(len(family)), size):
             s = frozenset(subset)
-            num = ZERO
-            den = ZERO
-            for value, bits in _compound_levels(family, universe, prevs, s, conjunction):
-                mass = sum((masses[pos] for pos in set_bits(bits)), ZERO)
-                den += mass
-                num += mass * value
-            if den == 0:
-                raise CompoundError("zero mass on conditioning formula")
-            prevs[s] = num / den
+            levels = _compound_levels(family, universe, prevs, s, conjunction)
+            prevs[s] = _expectation(levels, masses)
     return prevs
+
+
+def _expectation(levels, masses):
+    """Expectation of disjoint (value, world bitset) levels given their
+    union, under per-world masses."""
+    num = ZERO
+    den = ZERO
+    for value, bits in levels:
+        mass = sum((masses[pos] for pos in set_bits(bits)), ZERO)
+        den += mass
+        num += mass * value
+    if den == 0:
+        raise CompoundError("zero mass on conditioning formula")
+    return num / den
 
 
 def prevision_from_distribution(
@@ -409,18 +371,7 @@ def prevision_from_distribution(
     """Conditional expectation of a numeric-valued quantity under a world
     distribution; the conditioning event needs positive mass."""
     u = crq.universe if universe is None else universe
-    masses = _normalize_mu(mu, u)
-    values = crq.world_values(u)
-    num = ZERO
-    den = ZERO
-    for pos, value in enumerate(values):
-        if value is None:
-            continue
-        den += masses[pos]
-        num += masses[pos] * value
-    if den == 0:
-        raise CompoundError("zero mass on conditioning formula")
-    return num / den
+    return _expectation(crq.numeric_levels(u), _normalize_mu(mu, u))
 
 
 # -- bounds and arithmetic identities ----------------------------------------
@@ -471,14 +422,11 @@ def demorgan_check(ce1, ce2, x, y, z, universe: Universe) -> bool:
         raise CompoundError("negated-conjunction prevision outside its bounds")
     disj = gs_or(ce1, ce2, x, y, universe, check=False)
     neg_conj = gs_and(negate(ce1), negate(ce2), 1 - x, 1 - y, universe, check=False)
-    for a, b in zip(disj.world_forms, neg_conj.world_forms):
-        if (a is None) != (b is None):
-            return False
-        if a is None:
-            continue
-        if a.constant_value() != 1 - b.constant_value():
-            return False
-    return True
+    return all(
+        (a is None) == (b is None)
+        and (a is None or a.constant_value() == 1 - b.constant_value())
+        for a, b, _bits in _joint_classes(disj, neg_conj)
+    )
 
 
 def inclusion_exclusion(previsions: Mapping, n: int):
@@ -619,25 +567,33 @@ def p_entails_absorption(
 IDENTITIES = ("p1", "p2a", "p2b", "p2c", "p3", "chain")
 
 
+def _joint_classes(q1: ConditionalRandomQuantity, q2: ConditionalRandomQuantity) -> list:
+    """(q1 form, q2 form, world bitset) over the classes of one
+    refinement of the worlds by both quantities' levels; a form is None
+    where its quantity is void."""
+    members = [(tuple(enumerate(bits for _f, bits in q.levels)), None) for q in (q1, q2)]
+    return [
+        (
+            None if i is None else q1.levels[i][0],
+            None if j is None else q2.levels[j][0],
+            bits,
+        )
+        for (i, j), bits in refine(q1.universe.all_set, members).items()
+    ]
+
+
 def _forms_equal(q1: ConditionalRandomQuantity, q2: ConditionalRandomQuantity) -> bool:
-    for a, b in _distinct_form_pairs(q1, q2):
-        if (a is None) != (b is None):
-            return False
-        if a is not None and a != b:
-            return False
-    return True
+    return all(a == b for a, b, _bits in _joint_classes(q1, q2))
 
 
 def _sum_quantity(q1, q2, conditioning, self_symbol):
-    forms = []
-    for a, b in zip(q1.world_forms, q2.world_forms):
-        if a is None and b is None:
-            forms.append(None)
-        elif a is None or b is None:
+    levels = []
+    for a, b, bits in _joint_classes(q1, q2):
+        if (a is None) != (b is None):
             raise CompoundError("void patterns differ; sum undefined")
-        else:
-            forms.append(a + b)
-    return ConditionalRandomQuantity(q1.universe, conditioning, tuple(forms), self_symbol)
+        if a is not None:
+            levels.append((a + b, bits))
+    return ConditionalRandomQuantity(q1.universe, conditioning, tuple(levels), self_symbol)
 
 
 def _event_forms(ce, universe, prob) -> ConditionalRandomQuantity:
@@ -657,33 +613,14 @@ def _check_p2b() -> bool:
     return _forms_equal_modulo_void(conj, target, x)
 
 
-def _distinct_form_pairs(q1, q2) -> list:
-    """The distinct (q1 form, q2 form) pairs over the worlds.  Worlds are
-    grouped by the identities of their forms, which compound quantities
-    share across the worlds of a constituent, so the forms themselves
-    are compared once per pair rather than once per world."""
-    forms = q1.world_forms + q2.world_forms
-    objects = dict(zip(map(id, forms), forms))
-    pairs = set(zip(map(id, q1.world_forms), map(id, q2.world_forms)))
-    return [(objects[a], objects[b]) for a, b in pairs]
-
-
 def _forms_equal_modulo_void(q1, q2, void_value) -> bool:
-    """Equality where q1's void worlds must carry q2's value void_value."""
-    for a, b in _distinct_form_pairs(q1, q2):
-        if a is None and b is None:
-            continue
-        if a is None:
-            if b != LinForm.of(void_value):
-                return False
-            continue
-        if b is None:
-            if a != LinForm.of(void_value):
-                return False
-            continue
-        if a != b:
-            return False
-    return True
+    """Equality where either quantity is void and the other is not: there
+    the other must carry void_value."""
+    void = LinForm.of(void_value)
+    return all(
+        (void if a is None else a) == (void if b is None else b)
+        for a, b, _bits in _joint_classes(q1, q2)
+    )
 
 
 def _check_p2a() -> bool:
@@ -720,16 +657,12 @@ def _check_p3() -> bool:
     zneg = LinForm.symbol("zneg")
     disj = gs_or(ah, bk, x, y, u, self_name="w", check=False)
     conj = gs_and(negate(ah), bk, 1 - x, y, u, self_name="zneg", check=False)
-    rhs_forms = []
-    ah_q = _event_forms(ah, u, x)
-    for a, b in zip(ah_q.world_forms, conj.world_forms):
-        if a is None and b is None:
-            rhs_forms.append(None)
-        else:
-            left = a if a is not None else x
-            right = b if b is not None else zneg
-            rhs_forms.append(left + right)
-    rhs = ConditionalRandomQuantity(u, disj.conditioning, tuple(rhs_forms), "w")
+    rhs_levels = tuple(
+        ((x if a is None else a) + (zneg if b is None else b), bits)
+        for a, b, bits in _joint_classes(_event_forms(ah, u, x), conj)
+        if a is not None or b is not None
+    )
+    rhs = ConditionalRandomQuantity(u, disj.conditioning, rhs_levels, "w")
     return _forms_equal(disj, rhs)
 
 

@@ -23,6 +23,8 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 def rat(numerator=0, denominator=1):
     """Build an exact rational; strings go through parse_rational."""
+    if type(numerator) is _mpq and denominator == 1:
+        return numerator  # immutable, so no copy is needed
     if isinstance(numerator, str):
         if denominator != 1:
             raise ValueError("string form takes no denominator")

@@ -262,7 +262,7 @@ def _p4_star(logic: str, interval_rows, tolerance) -> StarCell:
 def _p5_gs_pointwise(x, y, universe) -> bool:
     """Every constituent satisfies conj + disj = first + second, which
     pins the disjunction prevision to x + y - z for every coherent z."""
-    from .coherence import MemberTable, value_levels, world_levels
+    from .coherence import MemberTable, world_levels
 
     ah = ConditionalEvent(_A, _H)
     bk = ConditionalEvent(_B, _K)
@@ -271,8 +271,8 @@ def _p5_gs_pointwise(x, y, universe) -> bool:
     levels = [
         world_levels(ah, universe),
         world_levels(bk, universe),
-        value_levels(conj.world_values(universe)),
-        value_levels(disj.world_values(universe)),
+        conj.numeric_levels(universe),
+        disj.numeric_levels(universe),
     ]
     table = MemberTable(levels, [x, y, ZERO, ZERO], len(universe))
     for pattern in table.patterns((0, 1, 2, 3)):

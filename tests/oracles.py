@@ -20,7 +20,9 @@ counts when its coefficients are nonnegative, and the nearest one wins.
 
 The per-world scans are how cohkit built its worlds, constituents,
 member patterns and compound values before it refined world bitsets:
-every world assignment is evaluated one by one with eval_formula.
+every world assignment is evaluated one by one with eval_formula.  The
+compound forms are the signature case analysis cohkit ran over the
+constituents before its compounds were held as levels.
 
 The Fraction tableau kernel is the simplex cohkit.lp ran before its
 integer rows: every entry a Fraction, every pivot a Fraction division
@@ -31,11 +33,13 @@ kernel must reproduce its results, bases and tableaux exactly.
 import itertools
 from fractions import Fraction
 
+from cohkit.compound import LinForm
 from cohkit.events import (
     SIG_FALSE,
     SIG_TRUE,
     SIG_VOID,
     conditional_sets,
+    enumerate_constituents,
     eval_formula,
 )
 from cohkit.lp import HullOutside, hull_membership
@@ -203,6 +207,36 @@ def compound_world_values(family, universe, prevs, subset, conjunction):
         else:
             out.append(ONE if conjunction else ZERO)
     return tuple(out)
+
+
+def compound_world_forms(family, universe, prevs, conjunction):
+    """Per-world LinForms of the compound of the whole family, None where
+    every antecedent fails, by the signature of each constituent: an
+    operand false (conjunction) or true (disjunction) absorbs, none void
+    gives the other value, and a partial void set takes its prevision.
+    For two members, prevs {0}: x and {1}: y give the binary compound."""
+    forms = [None] * len(universe)
+    for constituent in enumerate_constituents(family, universe).constituents:
+        sig = constituent.signature
+        voids = frozenset(i for i, code in enumerate(sig) if code == SIG_VOID)
+        if conjunction:
+            if SIG_FALSE in sig:
+                value = LinForm.of(0)
+            elif not voids:
+                value = LinForm.of(1)
+            else:
+                value = LinForm.of(prevs[voids])
+        else:
+            if SIG_TRUE in sig:
+                value = LinForm.of(1)
+            elif not voids:
+                value = LinForm.of(0)
+            else:
+                value = LinForm.of(prevs[voids])
+        for pos in range(len(universe)):
+            if constituent.world_bits >> pos & 1:
+                forms[pos] = value
+    return tuple(forms)
 
 
 def _subsets_in_order(n):

@@ -26,6 +26,7 @@ from cohkit.rationals import rat
 from cohkit.trivalent import ConditionalEvent, free_universe
 
 from oracles import bisection_brackets, extension_oracle
+from test_differential import incoherent_event_families
 
 A, B, H, K = Atom("A"), Atom("B"), Atom("H"), Atom("K")
 AH = ConditionalEvent(A, H)
@@ -121,9 +122,22 @@ def test_dutch_book_positive_gains(additive_triple):
     assert max(abs(s) for s in book.stakes) == 1
 
 
-@pytest.mark.parametrize("fixture", ["additive_triple", "hull_pass_subfamily_fail"])
+SEEDED_INCOHERENT = incoherent_event_families(20190601, 16)
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    ["additive_triple", "hull_pass_subfamily_fail"]
+    + [f"seeded-{k}" for k in range(len(SEEDED_INCOHERENT))],
+)
 def test_dutch_book_gains_are_the_random_gains(fixture, request):
-    u, assessment = request.getfixturevalue(fixture)
+    """The book's gains and the dominator's penalty reductions, read from
+    the member patterns, against the paper's definitions over the
+    constituents of enumerate_constituents."""
+    if fixture.startswith("seeded-"):
+        u, assessment = SEEDED_INCOHERENT[int(fixture.split("-")[1])]
+    else:
+        u, assessment = request.getfixturevalue(fixture)
     book = dutch_book(assessment, u)
     sub = Assessment.build(
         [assessment.family[i] for i in book.subfamily],
@@ -134,6 +148,12 @@ def test_dutch_book_gains_are_the_random_gains(fixture, request):
         (c.index, random_gain(sub, book.stakes, c)) for c in constituents
     )
     assert book.margin == min(g for _index, g in book.gains)
+    better = Assessment.build(assessment.family, brier_dominator(assessment, u))
+    diffs = [
+        penalty_loss(assessment, c) - penalty_loss(better, c)
+        for c in enumerate_constituents(assessment.family, u).constituents
+    ]
+    assert all(d >= 0 for d in diffs) and any(d > 0 for d in diffs)
 
 
 def test_sure_event_at_one_is_inside():

@@ -26,9 +26,11 @@ from cohkit.compound import (
     prevision_from_distribution,
     sum_rule_check,
 )
-from cohkit.events import Atom, TOP, Universe
+from cohkit.events import Atom, EventError, TOP, Universe
 from cohkit.rationals import ONE, ZERO, rat
 from cohkit.trivalent import ConditionalEvent, free_universe, negate
+
+from oracles import compound_world_forms
 
 A, B, H, K, E = Atom("A"), Atom("B"), Atom("H"), Atom("K"), Atom("E")
 AH = ConditionalEvent(A, H)
@@ -109,6 +111,81 @@ def test_gs_and_idempotent():
     ]
     got = [None if f is None else f.constant_value() for f in conj.world_forms]
     assert got == indicator
+
+
+def _random_literal(rng, names):
+    atom = Atom(rng.choice(names))
+    return atom if rng.random() < 0.5 else ~atom
+
+
+def _random_formula(rng, names):
+    f = _random_literal(rng, names)
+    if rng.random() < 0.6:
+        g = _random_literal(rng, names)
+        f = f & g if rng.random() < 0.5 else f | g
+    return f
+
+
+def test_compounds_match_the_signature_oracle():
+    """gs_and, gs_or (numeric and symbolic x, y), gs_and_n and gs_or_n
+    expand world by world to the signature case analysis over the
+    constituents, on seeded random families over 2-6 atoms, some with
+    constraints."""
+    rng = random.Random(20190415)
+    symbols = (LinForm.symbol("x"), LinForm.symbol("y"))
+    checked = 0
+    while checked < 60:
+        names = "ABCDEF"[: rng.randint(2, 6)]
+        constraints = [
+            (_random_literal(rng, names) & _random_literal(rng, names), False)
+            for _ in range(rng.choice((0, 0, 1, 2)))
+        ]
+        try:
+            u = Universe(names, constraints)
+        except EventError:
+            continue
+        family = [
+            ConditionalEvent(
+                _random_formula(rng, names),
+                TOP if rng.random() < 0.2 else _random_formula(rng, names),
+            )
+            for _ in range(rng.randint(1, 4))
+        ]
+        if not all(u.satisfiable(ce.antecedent) for ce in family):
+            continue
+        prevs = {
+            frozenset(s): rat(rng.randint(0, 4), 4)
+            for size in range(1, len(family) + 1)
+            for s in itertools.combinations(range(len(family)), size)
+        }
+        for build, conjunction in ((gs_and_n, True), (gs_or_n, False)):
+            got = build(family, prevs, u, check=False).world_forms
+            assert got == compound_world_forms(family, u, prevs, conjunction)
+        if len(family) >= 2:
+            pair = family[:2]
+            numeric = (prevs[frozenset([0])], prevs[frozenset([1])])
+            for x, y in (numeric, symbols):
+                pair_prevs = {frozenset([0]): x, frozenset([1]): y}
+                for build, conjunction in ((gs_and, True), (gs_or, False)):
+                    got = build(*pair, x, y, u, check=False).world_forms
+                    assert got == compound_world_forms(pair, u, pair_prevs, conjunction)
+        checked += 1
+
+
+def test_quantity_rejects_a_universe_with_permuted_atoms():
+    # same world masks, other atom order: the positions name other worlds
+    u = Universe(["A", "H", "B", "K"])
+    permuted = Universe(["A", "H", "K", "B"])
+    x, y = rat(9, 10), rat(1, 5)
+    base = Assessment.build([AH, BK], [x, y])
+    conj = gs_and(AH, BK, x, y, u)
+    bounds = extension_bounds(base, conj, u)
+    assert (bounds.lower, bounds.upper) == (rat(1, 10), rat(1, 5))
+    assert permuted.worlds == u.worlds
+    with pytest.raises(CompoundError):
+        extension_bounds(base, conj, permuted)
+    with pytest.raises(CompoundError):
+        conj.world_values(permuted)
 
 
 def test_gs_rejects_incoherent_operands():

@@ -4,12 +4,14 @@ Seeded random families over 3-5 atoms, some with constraints: plain
 conditional events and generalized members from the compound
 conjunction, valued on a grid that includes 0 and 1 or through a world
 distribution with zero masses (so antecedents of zero probability
-occur), sometimes perturbed into incoherence.
+occur), sometimes perturbed into incoherence.  incoherent_event_families
+draws plain conditional-event families the same way, for the witness
+tests in test_coherence.py.
 """
 
 import random
 
-from cohkit.coherence import check_coherence_members, world_values
+from cohkit.coherence import Assessment, check_coherence, check_coherence_members, world_values
 from cohkit.events import Atom, EventError, TOP, Universe
 from cohkit.rationals import ONE, ZERO, rat
 from cohkit.trivalent import ConditionalEvent
@@ -106,14 +108,41 @@ def random_setting(rng):
     compound = rng.random() < 0.25
     if compound:
         members, values = _compound_members(rng, names, universe, masses)
-    for _ in range(rng.randint(2, 5) - len(members) // 2):
-        _ce, member = _event(rng, names, universe)
+    _add_events(rng, names, universe, masses, rng.randint(2, 5) - len(members) // 2, members, values)
+    return names, universe, members, values, compound
+
+
+def _add_events(rng, names, universe, masses, count, members, values):
+    """Append count random conditional events (their per-world values) and
+    their values to members and values, perturbing one value when there is
+    no distribution, and sometimes when there is; returns the events."""
+    events = []
+    for _ in range(count):
+        ce, member = _event(rng, names, universe)
         value = _prevision(member, masses) if masses is not None else None
+        events.append(ce)
         members.append(member)
         values.append(rng.choice(GRID) if value is None else value)
     if masses is None or rng.random() < 0.4:
         values[rng.randrange(len(values))] = rng.choice(GRID)
-    return names, universe, members, values, compound
+    return events
+
+
+def incoherent_event_families(seed, count):
+    """count incoherent assessments of 2-5 plain conditional events, as
+    (universe, Assessment) pairs, drawn as random_setting draws its
+    families."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        names, universe = _universe(rng)
+        masses = _distribution(rng, universe) if rng.random() < 0.6 else None
+        values = []
+        family = _add_events(rng, names, universe, masses, rng.randint(2, 5), [], values)
+        assessment = Assessment.build(family, values)
+        if not check_coherence(assessment, universe).coherent:
+            found.append((universe, assessment))
+    return found
 
 
 def _check_witness(members, values, verdict):
