@@ -14,10 +14,10 @@ import sys
 from .coherence import (
     Assessment,
     CoherenceError,
+    ExtensionProblem,
     brier_dominator,
     check_coherence,
     dutch_book,
-    extension_bounds,
 )
 from .compound import CompoundError, p_entails, p_entails_absorption
 from .events import EventError
@@ -34,8 +34,6 @@ from .tables import (
     compute_star_table,
     operator_name,
 )
-
-TOLERANCE = rat(1, 2**40)
 
 
 def _load(path: str):
@@ -78,11 +76,11 @@ def cmd_check(args) -> int:
         print(render(report), end="")
         return 0
     report.add("failing-subfamily", [i + 1 for i in verdict.failing_subfamily])
-    book = dutch_book(assessment, doc.universe, verdict)
+    book = dutch_book(verdict)
     report.add("stakes", list(book.stakes))
     _gains_section(report, book)
     report.add("margin", book.margin)
-    dominator = brier_dominator(assessment, doc.universe, verdict)
+    dominator = brier_dominator(verdict)
     report.add("brier-dominator", list(dominator))
     print(render(report), end="")
     return 1
@@ -92,7 +90,7 @@ def cmd_dutchbook(args) -> int:
     doc = _load(args.file)
     report = Report().add("command", "dutchbook")
     assessment = _family_section(report, doc)
-    book = dutch_book(assessment, doc.universe)
+    book = dutch_book(check_coherence(assessment, doc.universe))
     if book is None:
         report.add("verdict", "coherent")
         report.add("dutch-book", "none")
@@ -124,7 +122,7 @@ def cmd_bounds(args) -> int:
     target = build_target(
         args.kind, args.op, ce1, ce2, base.values[0], base.values[1], doc.universe
     )
-    bounds = extension_bounds(base, target, doc.universe, verdict=verdict)
+    bounds = ExtensionProblem(verdict, target).bounds()
     section = report.section("interval")
     section.add("lower", bounds.lower)
     section.add("upper", bounds.upper)
@@ -145,13 +143,13 @@ def cmd_tables(args) -> int:
     for row in rows:
         section = intervals.section(operator_name(row.connective, row.logic))
         section.add("points", len(row.cells))
-        within = row.all_within(TOLERANCE)
-        all_match = all_match and within and row.endpoints_confirmed
-        section.add("matches-closed-form", within)
-        section.add("max-gap", row.max_gap())
+        gap = row.max_gap()
+        all_match = all_match and gap == 0 and row.endpoints_confirmed
+        section.add("matches-closed-form", gap == 0)
+        section.add("max-gap", gap)
         section.add("closed-form-endpoints-confirmed", row.endpoints_confirmed)
         section.add("exact-cells", sum(1 for c in row.cells if c.exact_match()))
-    star = compute_star_table(step, TOLERANCE, rows)
+    star = compute_star_table(step, rows)
     properties = report.section("properties")
     for prop in PROPERTY_ROWS:
         prop_section = properties.section(prop)
@@ -197,8 +195,8 @@ def cmd_entails(args) -> int:
     if not verdict.coherent:
         print(render(report), end="")
         raise CompoundError("premise family is not p-consistent")
-    entails = p_entails(family, target, doc.universe, verdict=verdict)
-    absorption = p_entails_absorption(family, target, doc.universe, verdict=verdict)
+    entails = p_entails(verdict, target)
+    absorption = p_entails_absorption(verdict, target)
     report.add("p-entails", entails)
     report.add("absorption-check", absorption)
     report.add("characterizations-agree", entails == absorption)

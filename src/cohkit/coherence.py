@@ -22,8 +22,7 @@ numeric values with voids.
 from __future__ import annotations
 
 import copy
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .events import (
@@ -46,8 +45,7 @@ from .lp import (
 from .rationals import ONE, ZERO, integer_row, rat
 from .trivalent import ConditionalEvent
 
-DEFAULT_MAX_FAMILY = 12
-_MAX_FAMILY_ENV = "COHKIT_MAX_FAMILY"
+MAX_FAMILY = 12  # largest base family ExtensionProblem accepts
 
 
 class CoherenceError(Exception):
@@ -56,16 +54,6 @@ class CoherenceError(Exception):
 
 class FamilyCapError(CoherenceError):
     pass
-
-
-def family_cap() -> int:
-    raw = os.environ.get(_MAX_FAMILY_ENV, "")
-    if raw.strip():
-        try:
-            return int(raw)
-        except ValueError:
-            raise CoherenceError(f"bad {_MAX_FAMILY_ENV} value {raw!r}") from None
-    return DEFAULT_MAX_FAMILY
 
 
 @dataclass(frozen=True)
@@ -91,11 +79,19 @@ class Assessment:
 
 @dataclass(frozen=True)
 class CoherenceVerdict:
+    """Outcome of Gilio's check.  A verdict of check_coherence keeps the
+    assessment and universe it decided and the MemberTable it was decided
+    on, from which dutch_book, brier_dominator, ExtensionProblem and the
+    p-entailment tests read their constituents."""
+
     coherent: bool
     failing_subfamily: Optional[tuple] = None  # indices into the family
     stakes: Optional[tuple] = None  # separating stakes over that subfamily
     weights: Optional[tuple] = None  # hull weights of the full family when coherent
     rounds: tuple = ()  # the subfamily tested in each round, in order
+    assessment: Optional[Assessment] = None
+    universe: Optional[Universe] = None
+    _table: Optional[MemberTable] = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -157,8 +153,11 @@ class MemberTable:
     """
 
     def __init__(self, levels: Sequence, values: Sequence, num_worlds: int):
-        self.members = [_ranked(member) for member in levels]
-        self.values = [rat(v) for v in values]
+        self._build([_ranked(member) for member in levels], [rat(v) for v in values], num_worlds)
+
+    def _build(self, members: list, values: list, num_worlds: int) -> None:
+        self.members = members
+        self.values = values
         if len(self.members) != len(self.values):
             raise CoherenceError("member and value counts differ")
         if not self.members:
@@ -169,6 +168,13 @@ class MemberTable:
         self._decode = [tuple(v for v, _bits in m) + (None,) for m in self.members]
         self._groups: dict = {}
         self._distinct = tuple(self._scan_worlds())
+
+    def extended(self, levels: Sequence, value) -> "MemberTable":
+        """The family plus one member given by its levels, at the given
+        value; the other members keep their ranked levels."""
+        table = MemberTable.__new__(MemberTable)
+        table._build(self.members + [_ranked(levels)], self.values + [rat(value)], self.num_worlds)
+        return table
 
     def revalued(self, values: Sequence) -> "MemberTable":
         """The same members under other values, sharing the world scan
@@ -250,7 +256,8 @@ def check_coherence_members(members, values) -> CoherenceVerdict:
     return _gilio_check(_world_table(members, values))
 
 
-def _gilio_check(table: MemberTable) -> CoherenceVerdict:
+def _gilio_check(table: MemberTable, assessment=None, universe=None) -> CoherenceVerdict:
+    held = {"assessment": assessment, "universe": universe, "_table": table}
     subset = tuple(range(len(table.members)))
     rounds = []
     full_weights = None
@@ -265,11 +272,12 @@ def _gilio_check(table: MemberTable) -> CoherenceVerdict:
                 tuple(outcome.separator[k] for k in support),
                 None,
                 tuple(rounds),
+                **held,
             )
         if full_weights is None:
             full_weights = outcome.weights
         if not outcome.zero_mass:
-            return CoherenceVerdict(True, None, None, full_weights, tuple(rounds))
+            return CoherenceVerdict(True, None, None, full_weights, tuple(rounds), **held)
         subset = tuple(subset[k] for k in outcome.zero_mass)
 
 
@@ -292,8 +300,16 @@ def check_hull(assessment: Assessment, universe: Universe):
 def check_coherence(assessment: Assessment, universe: Universe) -> CoherenceVerdict:
     """Gilio's iterative hull test: at most one round per member, each a
     hull LP on the current subfamily plus the LPs that find its
-    zero-antecedent-mass members (see check_coherence_members)."""
-    return _gilio_check(_member_table(assessment, universe))
+    zero-antecedent-mass members (see check_coherence_members).  The
+    verdict is the handle that the witnesses and extensions take."""
+    return _gilio_check(_member_table(assessment, universe), assessment, universe)
+
+
+def _checked_table(verdict: CoherenceVerdict) -> MemberTable:
+    """The MemberTable a check_coherence verdict was decided on."""
+    if verdict.assessment is None:
+        raise CoherenceError("not a check_coherence verdict on an assessment")
+    return verdict._table
 
 
 def random_gain(assessment: Assessment, stakes: Sequence, constituent: Constituent):
@@ -326,25 +342,20 @@ def penalty_loss(assessment: Assessment, constituent: Constituent):
     return total
 
 
-def dutch_book(
-    assessment: Assessment,
-    universe: Universe,
-    verdict: Optional[CoherenceVerdict] = None,
-) -> Optional[DutchBook]:
+def dutch_book(verdict: CoherenceVerdict) -> Optional[DutchBook]:
     """Stakes making the gain strictly positive on every effective
-    constituent of some subfamily; None when the assessment is coherent.
-    verdict: the assessment's check_coherence result, when already known."""
-    if verdict is None:
-        verdict = check_coherence(assessment, universe)
+    constituent of some subfamily, from the assessment's check_coherence
+    verdict; None when it is coherent."""
+    table = _checked_table(verdict)
     if verdict.coherent:
         return None
     subset = verdict.failing_subfamily
     stakes = [rat(s) for s in verdict.stakes]
-    values = [assessment.values[i] for i in subset]
+    values = [table.values[i] for i in subset]
     # the subfamily's patterns come in constituent order C_1 .. C_m; the
     # gain stakes . (q_h - p) adds s (1 - p) on a true member and -s p on
     # a false one
-    patterns = _member_table(assessment, universe).patterns(subset)
+    patterns = table.patterns(subset)
     win = [s * (1 - p) for s, p in zip(stakes, values)]
     lose = [-s * p for s, p in zip(stakes, values)]
     gains = tuple(enumerate(_effective_sums(patterns, win, lose), 1))
@@ -356,12 +367,9 @@ def dutch_book(
 
 # -- penalty-criterion dominance --------------------------------------------
 
-def brier_dominator(
-    assessment: Assessment,
-    universe: Universe,
-    verdict: Optional[CoherenceVerdict] = None,
-) -> Optional[tuple]:
-    """Values penalty-dominating an incoherent assessment, else None.
+def brier_dominator(verdict: CoherenceVerdict) -> Optional[tuple]:
+    """Values penalty-dominating an incoherent assessment, from its
+    check_coherence verdict; None when it is coherent.
 
     The failing subfamily's coordinates are replaced by the exact
     Euclidean projection of its value vector onto its constituent hull
@@ -369,18 +377,15 @@ def brier_dominator(
     incoherent vector).  Weak dominance with at least one strict
     reduction is then verified in exact arithmetic over the full family's
     constituents (the reading with one strict inequality, as in the
-    conditional-case definitions).  verdict: the assessment's
-    check_coherence result, when already known.
+    conditional-case definitions).
     """
-    if verdict is None:
-        verdict = check_coherence(assessment, universe)
+    table = _checked_table(verdict)
     if verdict.coherent:
         return None
     subset = verdict.failing_subfamily
-    table = _member_table(assessment, universe)
-    point = tuple(assessment.values[i] for i in subset)
+    point = tuple(table.values[i] for i in subset)
     projected = hull_projection(table.hull_rows(subset), point).point
-    candidate = list(assessment.values)
+    candidate = list(table.values)
     for k, i in enumerate(subset):
         candidate[i] = projected[k]
     candidate = tuple(candidate)
@@ -485,44 +490,34 @@ def _target_program(patterns, values):
 
 
 class ExtensionProblem:
-    """Coherent extension of a base assessment by one target object.
+    """Coherent extension of a checked base assessment by one target
+    object, from the base's check_coherence verdict.
 
     The target is a ConditionalEvent or anything exposing
     numeric_levels(universe) -> disjoint (value, world bitset) levels,
     void elsewhere, such as an instantiated conditional random quantity.
     Both kinds take the same route: exact endpoint LPs by Gilio's iteration
-    (_extension_interval).  verdict: the base's check_coherence result,
-    when already known.
+    (_extension_interval).
     """
 
-    def __init__(
-        self,
-        assessment: Assessment,
-        target,
-        universe: Universe,
-        cap: Optional[int] = None,
-        verdict: Optional[CoherenceVerdict] = None,
-    ):
-        base_n = len(assessment.family)
-        limit = family_cap() if cap is None else cap
-        if base_n > limit:
-            raise FamilyCapError(f"base family size {base_n} exceeds the cap {limit}")
-        if verdict is None:
-            verdict = check_coherence(assessment, universe)
+    def __init__(self, verdict: CoherenceVerdict, target):
+        base = _checked_table(verdict)
+        if len(base.members) > MAX_FAMILY:
+            raise FamilyCapError(
+                f"base family size {len(base.members)} exceeds the cap {MAX_FAMILY}"
+            )
         if not verdict.coherent:
             raise CoherenceError("base assessment is incoherent")
-        self.assessment = assessment
-        levels = [world_levels(ce, universe) for ce in assessment.family]
         if isinstance(target, ConditionalEvent):
-            levels.append(world_levels(target, universe))
+            levels = world_levels(target, verdict.universe)
         else:
-            levels.append(target.numeric_levels(universe))
-        self.table = MemberTable(levels, list(assessment.values) + [ZERO], len(universe))
+            levels = target.numeric_levels(verdict.universe)
+        self.table = base.extended(levels, ZERO)
 
     def coherent_at(self, t) -> bool:
         """Is the base plus the target at value t coherent?  Gilio's
         check on the whole extended family."""
-        values = list(self.assessment.values) + [rat(t)]
+        values = self.table.values[:-1] + [rat(t)]
         return _gilio_check(self.table.revalued(values)).coherent
 
     def bounds(self) -> ExtensionBounds:
@@ -530,19 +525,13 @@ class ExtensionProblem:
 
 
 def extension_bounds(
-    assessment: Assessment,
-    target,
-    universe: Universe,
-    tolerance=None,
-    cap: Optional[int] = None,
-    verdict: Optional[CoherenceVerdict] = None,
+    assessment: Assessment, target, universe: Universe, tolerance=None
 ) -> ExtensionBounds:
     """Interval of values coherently extending the assessment to the
     target (a ConditionalEvent, or a numeric-valued random quantity
     exposing numeric_levels).  The endpoints are exact; tolerance is
-    accepted for older callers and ignored.  verdict: the assessment's
-    check_coherence result, when already known."""
-    return ExtensionProblem(assessment, target, universe, cap, verdict).bounds()
+    accepted for older callers and ignored."""
+    return ExtensionProblem(check_coherence(assessment, universe), target).bounds()
 
 
 def extension_bounds_members(members, values, target) -> ExtensionBounds:

@@ -153,9 +153,6 @@ class ConditionalRandomQuantity:
         """Numeric per-world values, None where void (a per-world view)."""
         return _per_world(self.numeric_levels(universe), len(universe))
 
-    def values_in_range(self) -> bool:
-        return all(0 <= f.constant_value() <= 1 for f, _bits in self.levels)
-
 
 def _per_world(levels, width: int) -> tuple:
     out: list = [None] * width
@@ -469,38 +466,33 @@ def p_consistent(family: Sequence[ConditionalEvent], universe: Universe) -> bool
     return check_coherence(ones, universe).coherent
 
 
-def p_entails(
-    family: Sequence[ConditionalEvent],
-    target: ConditionalEvent,
-    universe: Universe,
-    cap: Optional[int] = None,
-    verdict: Optional[CoherenceVerdict] = None,
-) -> bool:
+def _unit_premises(verdict: CoherenceVerdict) -> tuple:
+    """The family of a check_coherence verdict on an all-ones assessment,
+    which must be coherent (the family p-consistent)."""
+    premises = verdict.assessment
+    if premises is None or any(v != 1 for v in premises.values):
+        raise CompoundError("p-entailment takes the verdict of premises assessed at 1")
+    if not verdict.coherent:
+        raise CompoundError("family is not p-consistent")
+    return premises.family
+
+
+def p_entails(verdict: CoherenceVerdict, target: ConditionalEvent) -> bool:
     """Probability one on the family forces probability one on the target.
 
     Under an all-ones assessment the coherent extension set is {0}, {1}
     or [0, 1]: hull mass is pinned to constituents where no member fails,
     so the target value is either free (some such constituent leaves the
     target void), or spans the hull of plain 0/1 indicator values.  Two
-    exact tests therefore decide the interval.  verdict: the all-ones
-    assessment's check_coherence result, when already known.
+    exact tests therefore decide the interval.  verdict: check_coherence
+    of the family assessed at 1.
     """
-    family = tuple(family)
-    ones = Assessment.build(family, [ONE] * len(family))
-    if verdict is None:
-        verdict = check_coherence(ones, universe)
-    if not verdict.coherent:
-        raise CompoundError("family is not p-consistent")
-    problem = ExtensionProblem(ones, target, universe, cap, verdict)
+    _unit_premises(verdict)
+    problem = ExtensionProblem(verdict, target)
     return problem.coherent_at(ONE) and not problem.coherent_at(ZERO)
 
 
-def p_entails_absorption(
-    family: Sequence[ConditionalEvent],
-    target: ConditionalEvent,
-    universe: Universe,
-    verdict: Optional[CoherenceVerdict] = None,
-) -> bool:
+def p_entails_absorption(verdict: CoherenceVerdict, target: ConditionalEvent) -> bool:
     """Conjunction-absorption characterization of p-entailment.
 
     Adjoining the target to the family's conjunction must change nothing.
@@ -512,12 +504,10 @@ def p_entails_absorption(
     joint system and the maps are compared there.  Note that a target
     failing only where some premise fails is not enough: it may still be
     coherently assessed below one through a vacuous antecedent.  verdict:
-    the all-ones assessment's check_coherence result, when already known.
+    check_coherence of the family assessed at 1.
     """
-    family = tuple(family)
-    consistent = p_consistent(family, universe) if verdict is None else verdict.coherent
-    if not consistent:
-        raise CompoundError("family is not p-consistent")
+    family = _unit_premises(verdict)
+    universe = verdict.universe
     n = len(family)
     everything = family + (target,)
 
@@ -689,7 +679,7 @@ def _check_chain() -> bool:
     ]
     for xv, yv in samples:
         base = Assessment.build([inner, outer], [xv, yv])
-        problem = ExtensionProblem(base, ConditionalEvent(e & h, k), u)
+        problem = ExtensionProblem(check_coherence(base, u), ConditionalEvent(e & h, k))
         want = xv * yv
         if not problem.coherent_at(want):
             return False

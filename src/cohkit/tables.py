@@ -104,10 +104,6 @@ class IntervalCell:
             abs(self.computed.upper - self.closed[1]),
         )
 
-    def within(self, tolerance) -> bool:
-        glo, ghi = self.gaps()
-        return glo <= tolerance and ghi <= tolerance
-
     def exact_match(self) -> bool:
         return (
             self.computed.lower == self.closed[0]
@@ -130,9 +126,6 @@ class IntervalRow:
                     worst = g
         return worst
 
-    def all_within(self, tolerance) -> bool:
-        return all(cell.within(tolerance) for cell in self.cells)
-
     def cell_at(self, x, y) -> IntervalCell:
         for cell in self.cells:
             if cell.x == x and cell.y == y:
@@ -146,11 +139,10 @@ def _interval_problem(x, y, connective, logic, universe, verdicts):
     so that a base is checked once however many operators use it."""
     ah = ConditionalEvent(_A, _H)
     bk = ConditionalEvent(_B, _K)
-    base = Assessment.build([ah, bk], [x, y])
     if (x, y) not in verdicts:
-        verdicts[(x, y)] = check_coherence(base, universe)
+        verdicts[(x, y)] = check_coherence(Assessment.build([ah, bk], [x, y]), universe)
     target = build_target(connective, logic, ah, bk, x, y, universe)
-    return ExtensionProblem(base, target, universe, verdict=verdicts[(x, y)])
+    return ExtensionProblem(verdicts[(x, y)], target)
 
 
 def compute_interval_row(
@@ -227,7 +219,7 @@ def _logical_star(prop: str, logic: str) -> StarCell:
     return StarCell(outcome.holds, counterexample)
 
 
-def _p4_star(logic: str, interval_rows, tolerance) -> StarCell:
+def _p4_star(logic: str, interval_rows) -> StarCell:
     """Conjunction prevision never above an operand, disjunction never
     below; counterexamples are hull-confirmed endpoint values."""
     conj = next(r for r in interval_rows if (r.connective, r.logic) == ("and", logic))
@@ -287,7 +279,7 @@ def _p5_gs_pointwise(x, y, universe) -> bool:
     return True
 
 
-def _p5_star(logic: str, interval_rows, step, tolerance) -> StarCell:
+def _p5_star(logic: str, interval_rows, step) -> StarCell:
     """Search for a coherent (x, y, z, w) with w != x + y - z."""
     u = free_universe()
     ah = ConditionalEvent(_A, _H)
@@ -312,7 +304,7 @@ def _p5_star(logic: str, interval_rows, step, tolerance) -> StarCell:
         disj_ce = trivalent_or(logic, ah, bk, u)
         for z in z_candidates:
             base = Assessment.build([ah, bk, conj_ce], [x, y, z])
-            problem = ExtensionProblem(base, disj_ce, u)
+            problem = ExtensionProblem(check_coherence(base, u), disj_ce)
             w_bounds = problem.bounds()
             for w in (w_bounds.lower, w_bounds.upper):
                 if w != x + y - z:
@@ -323,7 +315,7 @@ def _p5_star(logic: str, interval_rows, step, tolerance) -> StarCell:
     return StarCell(True)
 
 
-def _p6_half_star(connective: str, logic: str, interval_rows, tolerance) -> StarCell:
+def _p6_half_star(connective: str, logic: str, interval_rows) -> StarCell:
     """One direction of the sharp-bounds row: the computed interval must
     coincide with the product-free bounds on every probe."""
     box = frechet_bounds if connective == "and" else frechet_bounds_or
@@ -345,10 +337,7 @@ def _p6_half_star(connective: str, logic: str, interval_rows, tolerance) -> Star
                     "sharp-bounds": (lo, hi),
                 },
             )
-        if (
-            abs(cell.computed.lower - lo) > tolerance
-            or abs(cell.computed.upper - hi) > tolerance
-        ):
+        if cell.computed.lower != lo or cell.computed.upper != hi:
             return StarCell(
                 False,
                 {
@@ -361,7 +350,7 @@ def _p6_half_star(connective: str, logic: str, interval_rows, tolerance) -> Star
     return StarCell(True)
 
 
-def compute_star_table(step, tolerance, interval_rows=None) -> dict:
+def compute_star_table(step, interval_rows=None) -> dict:
     """Property-satisfaction matrix: {(property, logic): StarCell}."""
     if interval_rows is None:
         interval_rows = compute_intervals(step, confirm_endpoints=False)
@@ -369,8 +358,8 @@ def compute_star_table(step, tolerance, interval_rows=None) -> dict:
     for logic in LOGICS:
         for prop in ("P1", "P2a", "P2b", "P2c", "P3"):
             table[(prop, logic)] = _logical_star(prop, logic)
-        table[("P4", logic)] = _p4_star(logic, interval_rows, tolerance)
-        table[("P5", logic)] = _p5_star(logic, interval_rows, step, tolerance)
-        table[("P6and", logic)] = _p6_half_star("and", logic, interval_rows, tolerance)
-        table[("P6or", logic)] = _p6_half_star("or", logic, interval_rows, tolerance)
+        table[("P4", logic)] = _p4_star(logic, interval_rows)
+        table[("P5", logic)] = _p5_star(logic, interval_rows, step)
+        table[("P6and", logic)] = _p6_half_star("and", logic, interval_rows)
+        table[("P6or", logic)] = _p6_half_star("or", logic, interval_rows)
     return table

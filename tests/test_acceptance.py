@@ -48,7 +48,6 @@ from cohkit.tables import (
 from cohkit.trivalent import ConditionalEvent, free_universe
 
 DATA = Path(__file__).parent / "data"
-TOLERANCE = rat(1, 2**40)
 
 # which connective pairs satisfy each property row
 EXPECTED_STARS = {
@@ -70,6 +69,11 @@ BK = ConditionalEvent(B, K)
 
 def _passed(number, name):
     print(f"ACCEPTANCE {number} ({name}): PASS")
+
+
+def unit_verdict(family, universe):
+    """check_coherence of the family assessed at 1, which p-entailment takes."""
+    return check_coherence(Assessment.build(family, [ONE] * len(family)), universe)
 
 
 def test_criterion_1_additive_triple_reproduction(capsys):
@@ -128,7 +132,7 @@ def test_criterion_3_hull_necessary_not_sufficient(capsys):
 def test_criterion_4_intervals_table(capsys):
     rows = compute_intervals(rat(1, 10), confirm_endpoints=True)
     for row in rows:
-        assert row.all_within(TOLERANCE), (row.connective, row.logic)
+        assert row.max_gap() == 0, (row.connective, row.logic)
         assert row.endpoints_confirmed, (row.connective, row.logic)
         assert all(cell.exact_match() for cell in row.cells), (row.connective, row.logic)
     # spot values away from the grid
@@ -143,15 +147,14 @@ def test_criterion_4_intervals_table(capsys):
     ]
     for connective, logic, lo, hi in spots:
         target = build_target(connective, logic, AH, BK, rat(2, 3), rat(2, 3), u)
-        bounds = extension_bounds(base, target, u, TOLERANCE)
-        assert abs(bounds.lower - lo) <= TOLERANCE
-        assert abs(bounds.upper - hi) <= TOLERANCE
+        bounds = extension_bounds(base, target, u)
+        assert (bounds.lower, bounds.upper) == (lo, hi)
     with capsys.disabled():
         _passed(4, "interval table matches closed forms on the 1/10 grid")
 
 
 def test_criterion_5_property_table(capsys):
-    star = compute_star_table(rat(1, 4), TOLERANCE)
+    star = compute_star_table(rat(1, 4))
     for prop in PROPERTY_ROWS:
         for logic in LOGICS:
             cell = star[(prop, logic)]
@@ -171,11 +174,11 @@ def test_criterion_5_property_table(capsys):
     x = y = rat(2, 3)
     z = rat(1, 2)
     base = Assessment.build([AH, BK, conj], [x, y, z])
-    problem = ExtensionProblem(base, disj, u)
+    problem = ExtensionProblem(check_coherence(base, u), disj)
     assert problem.coherent_at(rat(1, 2))
     assert rat(1, 2) != x + y - z
     forced = ExtensionProblem(
-        Assessment.build([AH, BK, conj], [x, y, rat(1, 3)]), disj, u
+        check_coherence(Assessment.build([AH, BK, conj], [x, y, rat(1, 3)]), u), disj
     )
     assert forced.coherent_at(rat(1)) and not forced.coherent_at(rat(2, 3))
     with capsys.disabled():
@@ -296,8 +299,8 @@ def test_criterion_7_frechet_nary(capsys):
             base = Assessment.build([AH, BK], [xv, yv])
             conj = gs_and(AH, BK, xv, yv, u, check=False)
             disj = gs_or(AH, BK, xv, yv, u, check=False)
-            cb = extension_bounds(base, conj, u, TOLERANCE)
-            db = extension_bounds(base, disj, u, TOLERANCE)
+            cb = extension_bounds(base, conj, u)
+            db = extension_bounds(base, disj, u)
             assert (cb.lower, cb.upper) == frechet_bounds([xv, yv])
             assert (db.lower, db.upper) == frechet_bounds_or([xv, yv])
             # the compounds are void only where both operands are, so one
@@ -312,10 +315,10 @@ def test_criterion_8_p_entailment(capsys):
     inner = ConditionalEvent(E, H & K)
     outer = ConditionalEvent(H, K)
     combined = ConditionalEvent(E & H, K)
-    assert p_entails([inner, outer], combined, u3)
+    assert p_entails(unit_verdict([inner, outer], u3), combined)
     u = free_universe()
-    assert p_entails([AH], AH, u)
-    assert not p_entails([AH, BK], ConditionalEvent(A & B, H | K), u)
+    assert p_entails(unit_verdict([AH], u), AH)
+    assert not p_entails(unit_verdict([AH, BK], u), ConditionalEvent(A & B, H | K))
     # both characterizations agree across a batch of 4-atom instances
     targets = [
         AH,
@@ -339,9 +342,10 @@ def test_criterion_8_p_entailment(capsys):
     for family in families:
         if not p_consistent(family, u):
             continue
+        verdict = unit_verdict(family, u)
         for target in targets:
-            assert p_entails(family, target, u) == p_entails_absorption(
-                family, target, u
+            assert p_entails(verdict, target) == p_entails_absorption(
+                verdict, target
             ), (family, target)
             pairs += 1
     assert pairs >= 40
@@ -425,8 +429,8 @@ def test_criterion_9_criterion_equivalence(capsys):
     incoherent_count = 0
     for u, assessment in corpus:
         verdict = check_coherence(assessment, u)
-        book = dutch_book(assessment, u)
-        dominator = brier_dominator(assessment, u)
+        book = dutch_book(verdict)
+        dominator = brier_dominator(verdict)
         assert (book is None) == verdict.coherent
         assert (dominator is None) == verdict.coherent
         if verdict.coherent:

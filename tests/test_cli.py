@@ -1,4 +1,5 @@
 import io
+import itertools
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -159,6 +160,28 @@ def coherence_checks(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("command", ["check", "dutchbook"])
+def test_witness_commands_build_one_member_table(command, monkeypatch):
+    # the Dutch book and the dominator read the verdict's table
+    scans = []
+    original = cohkit.coherence.MemberTable._scan_worlds
+
+    def counted(table):
+        scans.append(table)
+        return original(table)
+
+    monkeypatch.setattr(cohkit.coherence.MemberTable, "_scan_worlds", counted)
+    code, _text = run_cli(command, str(DATA / "additive_triple.coh"))
+    assert code == 1
+    assert len(scans) == 1
+
+
+def test_bounds_checks_base_once(coherence_checks):
+    code, _text = run_cli("bounds", str(DATA / "free_pair.coh"), "--op", "K", "--kind", "and")
+    assert code == 0
+    assert [len(a.family) for a in coherence_checks] == [2]
+
+
 def test_entails_checks_premises_once(coherence_checks):
     code, _text = run_cli("entails", str(DATA / "chain_entail.coh"))
     assert code == 0
@@ -230,7 +253,20 @@ def test_tables_quarter_grid_matches_golden():
     assert normalized == golden
 
 
-def test_family_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("COHKIT_MAX_FAMILY", "1")
-    code = main(["bounds", str(DATA / "free_pair.coh"), "--op", "K", "--kind", "and"])
-    assert code == 2
+def test_family_cap_env(tmp_path, capsys):
+    # the base family of an extension, here the premises of entails, is
+    # capped at a fixed 12 members: 13 p-consistent premises exit 2
+    atoms = "ABCD"
+    subsets = [
+        " & ".join(chosen)
+        for size in range(1, 5)
+        for chosen in itertools.combinations(atoms, size)
+    ]
+    lines = ["atoms " + " ".join(atoms)]
+    lines += [f"event p{i} = {formula}" for i, formula in enumerate(subsets[:13])]
+    lines += [f"assess p{i} = 1" for i in range(13)]
+    lines += ["event all = A & B & C & D", "target all"]
+    path = tmp_path / "thirteen.coh"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["entails", str(path)]) == 2
+    assert "exceeds the cap 12" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -9,9 +10,11 @@ from cohkit.coherence import (
     CoherenceError,
     ExtensionProblem,
     FamilyCapError,
+    MAX_FAMILY,
     MemberTable,
     brier_dominator,
     check_coherence,
+    check_coherence_members,
     check_hull,
     dutch_book,
     extension_bounds,
@@ -108,7 +111,7 @@ def test_penalty_losses(additive_triple):
 
 def test_dutch_book_positive_gains(additive_triple):
     u, assessment = additive_triple
-    book = dutch_book(assessment, u)
+    book = dutch_book(check_coherence(assessment, u))
     assert book is not None
     assert book.margin > 0
     sub = Assessment.build(
@@ -138,7 +141,7 @@ def test_dutch_book_gains_are_the_random_gains(fixture, request):
         u, assessment = SEEDED_INCOHERENT[int(fixture.split("-")[1])]
     else:
         u, assessment = request.getfixturevalue(fixture)
-    book = dutch_book(assessment, u)
+    book = dutch_book(check_coherence(assessment, u))
     sub = Assessment.build(
         [assessment.family[i] for i in book.subfamily],
         [assessment.values[i] for i in book.subfamily],
@@ -148,7 +151,7 @@ def test_dutch_book_gains_are_the_random_gains(fixture, request):
         (c.index, random_gain(sub, book.stakes, c)) for c in constituents
     )
     assert book.margin == min(g for _index, g in book.gains)
-    better = Assessment.build(assessment.family, brier_dominator(assessment, u))
+    better = Assessment.build(assessment.family, brier_dominator(check_coherence(assessment, u)))
     diffs = [
         penalty_loss(assessment, c) - penalty_loss(better, c)
         for c in enumerate_constituents(assessment.family, u).constituents
@@ -168,8 +171,8 @@ def test_coherent_triple_has_no_book():
     fam = unconditional(A, B, A | B)
     assessment = Assessment.build(fam, [rat(2, 5), rat(3, 10), rat(1, 2)])
     assert check_coherence(assessment, u).coherent
-    assert dutch_book(assessment, u) is None
-    assert brier_dominator(assessment, u) is None
+    assert dutch_book(check_coherence(assessment, u)) is None
+    assert brier_dominator(check_coherence(assessment, u)) is None
 
 
 # the two-event family where the full-family hull test passes but the
@@ -189,7 +192,7 @@ def test_necessity_not_sufficiency(hull_pass_subfamily_fail):
     verdict = check_coherence(assessment, u)
     assert not verdict.coherent
     assert verdict.failing_subfamily == (0,)
-    book = dutch_book(assessment, u)
+    book = dutch_book(check_coherence(assessment, u))
     assert book.subfamily == (0,)
     assert abs(book.stakes[0]) == 1
     assert book.margin == rat(1, 2)
@@ -235,15 +238,57 @@ def test_member_table_scans_worlds_once(monkeypatch):
         }
 
 
-def test_family_cap(monkeypatch):
-    # the check has no 2^n work left, so only extension is capped
-    u = Universe(["A", "B"])
-    fam = unconditional(A, B, A | B)
-    assessment = Assessment.build(fam, [rat(2, 5), rat(3, 10), rat(1, 2)])
-    monkeypatch.setenv("COHKIT_MAX_FAMILY", "1")
+def test_family_cap():
+    # the check has no 2^n work left, so only extension is capped: a
+    # base of MAX_FAMILY conjunctions of A, B, H, K at their uniform
+    # probabilities extends, one more member does not
+    u = Universe(["A", "B", "H", "K"])
+    fam, values = [], []
+    for size in range(1, 5):
+        for chosen in itertools.combinations((A, B, H, K), size):
+            conj = chosen[0]
+            for atom in chosen[1:]:
+                conj = conj & atom
+            fam.append(ConditionalEvent(conj, TOP))
+            values.append(rat(1, 2**size))
+    target = ConditionalEvent(A | B, TOP)
+    base = Assessment.build(fam[:MAX_FAMILY], values[:MAX_FAMILY])
+    bounds = extension_bounds(base, target, u)
+    assert (bounds.lower, bounds.upper) == (rat(3, 4), rat(3, 4))
+    assessment = Assessment.build(fam[: MAX_FAMILY + 1], values[: MAX_FAMILY + 1])
+    assert len(assessment.family) == 13
     assert check_coherence(assessment, u).coherent
     with pytest.raises(FamilyCapError):
-        extension_bounds(assessment, ConditionalEvent(A & B, TOP), u)
+        extension_bounds(assessment, target, u)
+
+
+def test_extension_problem_rejects_an_incoherent_verdict(additive_triple):
+    u, assessment = additive_triple
+    verdict = check_coherence(assessment, u)
+    assert not verdict.coherent
+    with pytest.raises(CoherenceError, match="incoherent"):
+        ExtensionProblem(verdict, ConditionalEvent(A & B, TOP))
+
+
+def test_witnesses_take_only_assessment_verdicts(additive_triple):
+    u, assessment = additive_triple
+    members = [world_values(ce, u) for ce in assessment.family]
+    verdict = check_coherence_members(members, assessment.values)
+    assert not verdict.coherent
+    for operation in (dutch_book, brier_dominator):
+        with pytest.raises(CoherenceError, match="check_coherence verdict"):
+            operation(verdict)
+    with pytest.raises(CoherenceError, match="check_coherence verdict"):
+        ExtensionProblem(verdict, ConditionalEvent(A & B, TOP))
+
+
+def test_verdict_table_takes_no_part_in_equality(additive_triple):
+    u, assessment = additive_triple
+    first, second = check_coherence(assessment, u), check_coherence(assessment, u)
+    assert first.assessment is assessment and first.universe is u
+    assert first._table is not second._table
+    assert first == second
+    assert "_table" not in repr(first)
 
 
 def test_point_table_examples():
@@ -276,7 +321,7 @@ def test_constrained_pair_points():
 
 def test_brier_dominator_is_projection(additive_triple):
     u, assessment = additive_triple
-    dominator = brier_dominator(assessment, u)
+    dominator = brier_dominator(check_coherence(assessment, u))
     # exact Euclidean projection onto the face z = x + y
     assert dominator == (rat(13, 30), rat(1, 3), rat(23, 30))
     table = enumerate_constituents(assessment.family, u)
@@ -292,7 +337,7 @@ def test_brier_clamps_out_of_range_value():
     u = Universe(["A"])
     assessment = Assessment.build(unconditional(A), [rat(6, 5)])
     assert not check_coherence(assessment, u).coherent
-    assert brier_dominator(assessment, u) == (rat(1),)
+    assert brier_dominator(check_coherence(assessment, u)) == (rat(1),)
 
 
 def test_dominance_check_rejects_a_nudged_projection(monkeypatch):
@@ -301,7 +346,7 @@ def test_dominance_check_rejects_a_nudged_projection(monkeypatch):
     nudge = rat(1, 10**9)
     u = Universe(["A"])
     assessment = Assessment.build(unconditional(A), [1 + nudge / 2])
-    assert brier_dominator(assessment, u) == (rat(1),)
+    assert brier_dominator(check_coherence(assessment, u)) == (rat(1),)
     original = cohkit.coherence.hull_projection
 
     def nudged(points, p):
@@ -310,12 +355,12 @@ def test_dominance_check_rejects_a_nudged_projection(monkeypatch):
 
     monkeypatch.setattr(cohkit.coherence, "hull_projection", nudged)
     with pytest.raises(CoherenceError, match="dominance"):
-        brier_dominator(assessment, u)
+        brier_dominator(check_coherence(assessment, u))
 
 
 def test_brier_on_subfamily_failure(hull_pass_subfamily_fail):
     u, assessment = hull_pass_subfamily_fail
-    dominator = brier_dominator(assessment, u)
+    dominator = brier_dominator(check_coherence(assessment, u))
     assert dominator is not None
     assert dominator[0] == 0  # the impossible consequent is forced to zero
     assert dominator[1] == assessment.values[1]
@@ -496,7 +541,7 @@ def test_extension_problem_pins_chain_product():
     target = ConditionalEvent(E & H, K)
     x, y = rat(3, 7), rat(2, 5)
     base = Assessment.build([inner, outer], [x, y])
-    problem = ExtensionProblem(base, target, u)
+    problem = ExtensionProblem(check_coherence(base, u), target)
     assert problem.coherent_at(x * y)
     assert not problem.coherent_at(x * y + rat(1, 97))
     bounds = problem.bounds()

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cohkit.coherence import Assessment, extension_bounds
+from cohkit.coherence import Assessment, check_coherence, extension_bounds
 from cohkit.compound import (
     CompoundError,
     IDENTITIES,
@@ -52,6 +52,11 @@ def region_value(crq, u, predicate):
     }
     assert len(values) == 1, values
     return values.pop()
+
+
+def unit_verdict(family, universe):
+    """check_coherence of the family assessed at 1, which p-entailment takes."""
+    return check_coherence(Assessment.build(family, [ONE] * len(family)), universe)
 
 
 def test_linform_arithmetic():
@@ -407,12 +412,25 @@ def test_p_entailment_suite():
     inner = ConditionalEvent(E, H & K)
     outer = ConditionalEvent(H, K)
     combined = ConditionalEvent(E & H, K)
-    assert p_entails([inner, outer], combined, u3)
+    assert p_entails(unit_verdict([inner, outer], u3), combined)
     u = free_universe()
-    assert p_entails([AH], AH, u)
-    assert not p_entails([AH, BK], ConditionalEvent(A & B, H | K), u)
+    assert p_entails(unit_verdict([AH], u), AH)
+    assert not p_entails(unit_verdict([AH, BK], u), ConditionalEvent(A & B, H | K))
     with pytest.raises(CompoundError):
-        p_entails([AH, negate(AH)], BK, u)
+        p_entails(unit_verdict([AH, negate(AH)], u), BK)
+
+
+@pytest.mark.parametrize("entails", [p_entails, p_entails_absorption])
+def test_p_entailment_rejects_other_verdicts(entails):
+    u = free_universe()
+    # a coherent verdict whose values are not all one
+    half = check_coherence(Assessment.build([AH, BK], [ONE, rat(1, 2)]), u)
+    assert half.coherent
+    with pytest.raises(CompoundError, match="assessed at 1"):
+        entails(half, AH)
+    # the all-ones verdict of a family that is not p-consistent
+    with pytest.raises(CompoundError, match="not p-consistent"):
+        entails(unit_verdict([AH, negate(AH)], u), BK)
 
 
 def test_p_entailment_characterizations_agree():
@@ -432,9 +450,10 @@ def test_p_entailment_characterizations_agree():
     for family in families:
         if not p_consistent(family, u):
             continue
+        verdict = unit_verdict(family, u)
         for target in candidates:
-            assert p_entails(family, target, u) == p_entails_absorption(
-                family, target, u
+            assert p_entails(verdict, target) == p_entails_absorption(
+                verdict, target
             ), (family, target)
 
 
