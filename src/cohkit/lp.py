@@ -1,12 +1,14 @@
 """Exact rational linear programming.
 
-A dense two-phase simplex with Bland's rule on integer rows: row i of a
-tableau is a list of Python ints standing for that list over dens[i], a
-positive denominator, kept in lowest terms.  A pivot cross-multiplies
-integers and divides each row by one gcd (fraction-free elimination,
-after Edmonds and Bareiss), the ratio test compares integer products,
-and rationals are built only for the basic values and duals handed
-back; the exact linear solves share these rows.
+A dense two-phase simplex on integer rows, pricing by Dantzig's rule and
+by Bland's rule right after a degenerate pivot, which keeps it finite
+(see run_simplex): row i of a tableau is a list of Python ints standing
+for that list over dens[i], a positive denominator, kept in lowest
+terms.  A pivot cross-multiplies integers and divides each row by one
+gcd (fraction-free elimination, after Edmonds and Bareiss), the ratio
+test compares integer products, and rationals are built only for the
+basic values and duals handed back; the exact linear solves share these
+rows.
 
 Every answer is verified against its defining inequalities before being
 returned, apart from the kernel and on the same fraction-free idea: the
@@ -84,7 +86,7 @@ def _pivot(rows, dens, r, c):
 
 
 def run_simplex(tableau, dens, basis):
-    """Pivot with Bland's rule until optimal or unbounded.
+    """Pivot until optimal or unbounded.
 
     tableau: (m+1) x (n+1) rows of ints, row i standing for the rational
     row tableau[i] / dens[i] (dens positive), the reduced-cost row of a
@@ -92,15 +94,32 @@ def run_simplex(tableau, dens, basis):
     nonnegative right-hand sides on the constraint rows.  basis: the m
     basic column indices, updated in place.  A row's signs and its
     ratio rhs / entry do not depend on its positive denominator, so the
-    ratio test cross-multiplies integers.  Bland's rule in both the
-    entering and the leaving choice guarantees termination.  Returns -1
-    at optimality, else the entering column proving unboundedness.
+    ratio test cross-multiplies integers.  Returns -1 at optimality,
+    else the entering column proving unboundedness.
+
+    The entering column has the most negative reduced cost (Dantzig's
+    rule; the objective row shares one denominator, so its ints compare
+    directly, and ties go to the lowest index), except right after a
+    degenerate pivot, one whose leaving row has right-hand side 0: then
+    it is the first column with a negative reduced cost (Bland's rule).
+    The leaving row has the least ratio, ties going to the least basic
+    index, as in Bland's rule.  This terminates.  A nondegenerate pivot
+    strictly lowers the objective, so no basis recurs across one.  A run
+    of degenerate pivots keeps the objective; every choice in it after
+    the first is Bland's, from the basis the first one reached, and
+    Bland's rule cannot cycle (Bland, Math. Oper. Res. 2, 1977), so the
+    run is finite.  Bases being finitely many, so are the pivots.
     """
     m = len(tableau) - 1
     rhs = len(tableau[0]) - 1
+    degenerate = False
     while True:
         obj = tableau[m]
-        enter = next((j for j in range(rhs) if obj[j] < 0), -1)
+        if degenerate:
+            enter = next((j for j in range(rhs) if obj[j] < 0), -1)
+        else:
+            least = min(obj[:rhs], default=0)
+            enter = obj.index(least) if least < 0 else -1
         if enter < 0:
             return -1
         leave = -1
@@ -116,6 +135,7 @@ def run_simplex(tableau, dens, basis):
                     leave, best_b, best_a = i, row[rhs], a
         if leave < 0:
             return enter
+        degenerate = best_b == 0
         _pivot(tableau, dens, leave, enter)
         basis[leave] = enter
 

@@ -25,9 +25,10 @@ compound forms are the signature case analysis cohkit ran over the
 constituents before its compounds were held as levels.
 
 The Fraction tableau kernel is the simplex cohkit.lp ran before its
-integer rows: every entry a Fraction, every pivot a Fraction division
-and subtraction per entry.  It takes the same pivots, so the integer
-kernel must reproduce its results, bases and tableaux exactly.
+integer rows, with the pricing cohkit.lp uses now: every entry a
+Fraction, every pivot a Fraction division and subtraction per entry.
+It takes the same pivots, so the integer kernel must reproduce its
+results, bases and tableaux exactly.
 """
 
 import itertools
@@ -347,17 +348,29 @@ def pivot(rows, r, c):
                 row[:] = [a - coeff * b if b else a for a, b in zip(row, pivot_row)]
 
 
-def run_simplex(tableau, basis):
-    """Bland's rule on a tableau of Fractions (the reduced-cost row last,
-    the right-hand side column last); basis is updated in place.  Returns
-    -1 at optimality, else the entering column proving unboundedness."""
+def run_simplex(tableau, basis, choices=None):
+    """The simplex on a tableau of Fractions (the reduced-cost row last,
+    the right-hand side column last); basis is updated in place.  The
+    entering column has the most negative reduced cost (Dantzig's rule,
+    the lowest index on ties), or right after a degenerate pivot the
+    first negative one (Bland's rule); the leaving row the least ratio,
+    the least basic index on ties.  choices, a Counter if given, counts
+    the entering choices under "dantzig" and "bland".  Returns -1 at
+    optimality, else the entering column proving unboundedness."""
     m = len(tableau) - 1
     rhs = len(tableau[0]) - 1
     obj = tableau[m]
+    rule = "dantzig"
     while True:
-        enter = next((j for j in range(rhs) if obj[j] < 0), -1)
+        if rule == "bland":
+            enter = next((j for j in range(rhs) if obj[j] < 0), -1)
+        else:
+            least = min(range(rhs), key=lambda j: (obj[j], j), default=-1)
+            enter = least if least >= 0 and obj[least] < 0 else -1
         if enter < 0:
             return -1
+        if choices is not None:
+            choices[rule] += 1
         leave = -1
         best = None
         for i in range(m):
@@ -373,6 +386,7 @@ def run_simplex(tableau, basis):
                     leave = i
         if leave < 0:
             return enter
+        rule = "bland" if best == 0 else "dantzig"
         pivot(tableau, leave, enter)
         basis[leave] = enter
 

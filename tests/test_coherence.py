@@ -1,10 +1,12 @@
 import itertools
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import cohkit.coherence
+from cohkit import lp
 from cohkit.coherence import (
     Assessment,
     CoherenceError,
@@ -24,12 +26,15 @@ from cohkit.coherence import (
     world_values,
 )
 from cohkit.events import Atom, TOP, Universe, enumerate_constituents
+from cohkit.fileio import parse_assessment_file
 from cohkit.lp import HullInside, HullOutside, linear_range
 from cohkit.rationals import rat
 from cohkit.trivalent import ConditionalEvent, free_universe
 
-from oracles import bisection_brackets, extension_oracle
+from oracles import bisection_brackets, extension_oracle, subfamily_points
 from test_differential import incoherent_event_families
+
+DATA = Path(__file__).parent / "data"
 
 A, B, H, K = Atom("A"), Atom("B"), Atom("H"), Atom("K")
 AH = ConditionalEvent(A, H)
@@ -173,6 +178,64 @@ def test_coherent_triple_has_no_book():
     assert check_coherence(assessment, u).coherent
     assert dutch_book(check_coherence(assessment, u)) is None
     assert brier_dominator(check_coherence(assessment, u)) is None
+
+
+def _count_simplex_pivots(monkeypatch):
+    """Counts the pivots run_simplex makes, leaving out the pivots of the
+    exact solves and of driving artificials out."""
+    counts = {"pivots": 0}
+    inside = []
+    run, pivot = lp.run_simplex, lp._pivot
+
+    def counted_run(*args):
+        inside.append(True)
+        try:
+            return run(*args)
+        finally:
+            inside.pop()
+
+    def counted_pivot(*args):
+        counts["pivots"] += bool(inside)
+        pivot(*args)
+
+    monkeypatch.setattr(lp, "run_simplex", counted_run)
+    monkeypatch.setattr(lp, "_pivot", counted_pivot)
+    return counts
+
+
+def _read(name):
+    doc = parse_assessment_file((DATA / name).read_text())
+    return doc.universe, Assessment.build(doc.assessed_events(), doc.assessed_values())
+
+
+def test_wide_coherent_family_takes_few_pivots(monkeypatch):
+    # 20 members over 10 atoms; Bland's entering rule took 2,205 pivots
+    u, assessment = _read("coherent_wide.coh")
+    assert (len(assessment.values), len(u.atoms)) == (20, 10)
+    counts = _count_simplex_pivots(monkeypatch)
+    verdict = check_coherence(assessment, u)
+    assert verdict.coherent
+    assert counts["pivots"] <= 100
+    members = [world_values(ce, u) for ce in assessment.family]
+    points = subfamily_points(members, assessment.values, tuple(range(20)))
+    weights = verdict.weights
+    assert len(weights) == len(points) and min(weights) >= 0 and sum(weights) == 1
+    assert [sum(w * q[i] for w, q in zip(weights, points)) for i in range(20)] == list(
+        assessment.values
+    )
+
+
+def test_wide_incoherent_twin_has_witnesses(monkeypatch):
+    # coherent_wide.coh with e12 = ~J & ~C raised above e1 = ~C
+    u, assessment = _read("incoherent_wide.coh")
+    counts = _count_simplex_pivots(monkeypatch)
+    verdict = check_coherence(assessment, u)
+    assert not verdict.coherent and verdict.failing_subfamily == (0, 11)
+    assert counts["pivots"] <= 100
+    book = dutch_book(verdict)
+    assert book is not None and book.margin > 0
+    dominator = brier_dominator(verdict)
+    assert dominator is not None and dominator != assessment.values
 
 
 # the two-event family where the full-family hull test passes but the

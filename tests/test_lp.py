@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -297,16 +298,48 @@ def _assert_same_tableau(rows, dens, expected):
 def test_run_simplex_matches_fraction_kernel():
     rng = random.Random(5150)
     outcomes = {"optimal": 0, "unbounded": 0}
+    choices = Counter()
     for _ in range(400):
         tab, basis = _random_slack_tableau(rng)
         rows, dens = _integer_form(tab)
         int_basis = basis[:]
-        expected = oracles.run_simplex(tab, basis)
+        expected = oracles.run_simplex(tab, basis, choices)
         assert kernel.run_simplex(rows, dens, int_basis) == expected
         assert int_basis == basis
         _assert_same_tableau(rows, dens, tab)
         outcomes["optimal" if expected < 0 else "unbounded"] += 1
     assert min(outcomes.values()) > 50
+    # both entering rules are exercised, not only Dantzig's
+    assert min(choices["dantzig"], choices["bland"]) >= 50
+
+
+def test_run_simplex_terminates_on_beales_cycling_example(monkeypatch):
+    # Beale (1955): min -3/4 x4 + 20 x5 - 1/2 x6 + 6 x7 subject to
+    # 1/4 x4 - 8 x5 - x6 + 9 x7 <= 0, 1/2 x4 - 12 x5 - 1/2 x6 + 3 x7 <= 0
+    # and x6 <= 1, on the slack basis x1, x2, x3.  Dantzig's rule alone
+    # cycles here; the minimum is -5/4 at x4 = x6 = 1, x5 = x7 = 0.
+    F = Fraction
+    tab = [
+        [F(1, 4), F(-8), F(-1), F(9), F(1), F(0), F(0), F(0)],
+        [F(1, 2), F(-12), F(-1, 2), F(3), F(0), F(1), F(0), F(0)],
+        [F(0), F(0), F(1), F(0), F(0), F(0), F(1), F(1)],
+        [F(-3, 4), F(20), F(-1, 2), F(6), F(0), F(0), F(0), F(0)],
+    ]
+    rows, dens = _integer_form(tab)
+    basis = [4, 5, 6]
+    pivot = kernel._pivot
+    made = [0]
+
+    def bounded_pivot(*args):
+        made[0] += 1
+        if made[0] > 50:
+            raise AssertionError("the simplex cycles")
+        pivot(*args)
+
+    monkeypatch.setattr(kernel, "_pivot", bounded_pivot)
+    assert kernel.run_simplex(rows, dens, basis) == -1
+    assert rat(rows[-1][-1], dens[-1]) == F(5, 4)
+    assert kernel._basic_solution(rows, dens, basis, 4) == [1, 0, 1, 0]
 
 
 def _random_equalities(rng):
