@@ -25,6 +25,7 @@ from .compound import (
     ConditionalRandomQuantity,
     compound_identity_check,
     demorgan_check,
+    entailment_problem,
     frechet_bounds,
     frechet_bounds_or,
     gs_and,

@@ -19,7 +19,7 @@ from .coherence import (
     check_coherence,
     dutch_book,
 )
-from .compound import CompoundError, p_entails, p_entails_absorption
+from .compound import CompoundError, entailment_problem, p_entails, p_entails_absorption
 from .events import EventError
 from .fileio import FileFormatError, parse_assessment_file
 from .lp import kernel_name
@@ -195,8 +195,10 @@ def cmd_entails(args) -> int:
     if not verdict.coherent:
         print(render(report), end="")
         raise CompoundError("premise family is not p-consistent")
-    entails = p_entails(verdict, target)
-    absorption = p_entails_absorption(verdict, target)
+    # both characterizations read the coherent target values of one problem
+    problem = entailment_problem(verdict, target)
+    entails = p_entails(problem)
+    absorption = p_entails_absorption(problem)
     report.add("p-entails", entails)
     report.add("absorption-check", absorption)
     report.add("characterizations-agree", entails == absorption)

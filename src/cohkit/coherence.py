@@ -512,13 +512,20 @@ class ExtensionProblem:
             levels = world_levels(target, verdict.universe)
         else:
             levels = target.numeric_levels(verdict.universe)
+        self.verdict = verdict
+        self.target = target
         self.table = base.extended(levels, ZERO)
+        self._coherent: dict = {}
 
     def coherent_at(self, t) -> bool:
         """Is the base plus the target at value t coherent?  Gilio's
-        check on the whole extended family."""
-        values = self.table.values[:-1] + [rat(t)]
-        return _gilio_check(self.table.revalued(values)).coherent
+        check on the whole extended family, once per value: the table
+        is fixed, so the answer is kept."""
+        t = rat(t)
+        if t not in self._coherent:
+            values = self.table.values[:-1] + [t]
+            self._coherent[t] = _gilio_check(self.table.revalued(values)).coherent
+        return self._coherent[t]
 
     def bounds(self) -> ExtensionBounds:
         return _extension_interval(self.table)

@@ -270,7 +270,8 @@ def _compound_levels(family, universe, prevs, subset: frozenset, conjunction: bo
 
 
 def _system_coherent(family, universe, prevs, conjunction: bool) -> bool:
-    """Joint hull check of all subset compounds against their previsions."""
+    """Joint hull check of all subset compounds against their previsions,
+    which gs_and_n and gs_or_n take as input."""
     subsets = [
         frozenset(s)
         for size in range(1, len(family) + 1)
@@ -477,71 +478,86 @@ def _unit_premises(verdict: CoherenceVerdict) -> tuple:
     return premises.family
 
 
-def p_entails(verdict: CoherenceVerdict, target: ConditionalEvent) -> bool:
+def entailment_problem(verdict: CoherenceVerdict, target: ConditionalEvent) -> ExtensionProblem:
+    """The extension problem both characterizations of p-entailment
+    read: the target over the verdict of check_coherence on the premises
+    assessed at 1, which must be coherent (the family p-consistent)."""
+    _unit_premises(verdict)
+    return ExtensionProblem(verdict, target)
+
+
+def p_entails(problem: ExtensionProblem) -> bool:
     """Probability one on the family forces probability one on the target.
 
     Under an all-ones assessment the coherent extension set is {0}, {1}
     or [0, 1]: hull mass is pinned to constituents where no member fails,
     so the target value is either free (some such constituent leaves the
     target void), or spans the hull of plain 0/1 indicator values.  Two
-    exact tests therefore decide the interval.  verdict: check_coherence
-    of the family assessed at 1.
+    exact tests therefore decide the interval.  problem: the
+    entailment_problem of the premises' verdict and the target.
     """
-    _unit_premises(verdict)
-    problem = ExtensionProblem(verdict, target)
+    _unit_premises(problem.verdict)
     return problem.coherent_at(ONE) and not problem.coherent_at(ZERO)
 
 
-def p_entails_absorption(verdict: CoherenceVerdict, target: ConditionalEvent) -> bool:
+class _ForcedPrevisions:
+    """Previsions of the subset conjunctions of premises at 1 and a
+    target (operand target_index) at t: t for a subset holding the
+    target, 1 for the others."""
+
+    def __init__(self, target_index: int, t):
+        self.target_index = target_index
+        self.t = t
+
+    def __getitem__(self, subset: frozenset):
+        return self.t if self.target_index in subset else ONE
+
+
+def p_entails_absorption(problem: ExtensionProblem) -> bool:
     """Conjunction-absorption characterization of p-entailment.
 
-    Adjoining the target to the family's conjunction must change nothing.
-    Under unit premises every prevision in the enlarged conjunction
-    system is forced: base subsets to one, subsets containing the target
-    to the target's value t.  The identity holds exactly when the two
-    conjunctions' value maps agree at every prevision assignment the
-    joint system admits, so the coherent t values are found through the
-    joint system and the maps are compared there.  Note that a target
-    failing only where some premise fails is not enough: it may still be
-    coherently assessed below one through a vacuous antecedent.  verdict:
-    check_coherence of the family assessed at 1.
+    Adjoining the target to the family's conjunction must change nothing:
+    at every coherent target value t, the conjunction of the premises and
+    the target must have the value map of the premises' conjunction.
+
+    Under unit premises every prevision of the joint system of the
+    2^(n+1) - 1 subset conjunctions is forced by the Frechet-Hoeffding
+    bounds max(sum - k + 1, 0) <= prevision <= min, which the conjunction
+    keeps: a subset of premises only is at 1, and one holding the target
+    is at max(t + (k - 1) - k + 1, 0) = t = min(1, t).  The premises and
+    the target are a subfamily of that system, so the system at t is
+    coherent only if the premises at 1 plus the target at t are.
+    Conversely, such an assessment extends coherently to every subset
+    conjunction (the fundamental theorem of prevision), and the extension
+    can only take the forced values.  So the joint system at t is
+    coherent exactly when problem.coherent_at(t) holds, and it is never
+    built.  The value maps are compared at the coherent ends of [0, 1]
+    and, when both are coherent, at 1/2; a partial void set of the
+    conjunction is worth t when it holds the target, else 1.
+
+    Both characterizations therefore share the coherent-t step; the
+    independent part is the absorption identity on the value maps.  Note
+    that a target failing only where some premise fails is not enough: it
+    may still be coherently assessed below one through a vacuous
+    antecedent.  problem: the entailment_problem of the premises' verdict
+    and the target.
     """
-    family = _unit_premises(verdict)
-    universe = verdict.universe
+    family = _unit_premises(problem.verdict)
+    universe = problem.verdict.universe
     n = len(family)
-    everything = family + (target,)
-
-    def prevision_system(t):
-        prevs = {}
-        for size in range(1, n + 2):
-            for subset in itertools.combinations(range(n + 1), size):
-                s = frozenset(subset)
-                prevs[s] = rat(t) if n in s else ONE
-        return prevs
-
-    def joint_coherent(t) -> bool:
-        return _system_coherent(everything, universe, prevision_system(t), True)
+    everything = family + (problem.target,)
+    small = _compound_quantity(family, universe, _ForcedPrevisions(n, ONE), True, "small")
 
     def maps_equal(t) -> bool:
-        big = gs_and_n(everything, prevision_system(t), universe, check=False)
-        small = gs_and_n(
-            family,
-            {
-                frozenset(s): ONE
-                for size in range(1, n + 1)
-                for s in itertools.combinations(range(n), size)
-            },
-            universe,
-            check=False,
-        )
+        big = _compound_quantity(everything, universe, _ForcedPrevisions(n, t), True, "big")
         # where only the smaller conjunction is void it is worth its own
         # prevision, forced to one
         return _forms_equal_modulo_void(big, small, ONE)
 
-    at_zero = joint_coherent(ZERO)
-    at_one = joint_coherent(ONE)
+    at_zero = problem.coherent_at(ZERO)
+    at_one = problem.coherent_at(ONE)
     if not (at_zero or at_one):
-        raise CompoundError("no coherent target value in the joint system")
+        raise CompoundError("no coherent target value")
     points = []
     if at_zero:
         points.append(ZERO)

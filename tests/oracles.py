@@ -24,6 +24,12 @@ every world assignment is evaluated one by one with eval_formula.  The
 compound forms are the signature case analysis cohkit ran over the
 constituents before its compounds were held as levels.
 
+The joint-system oracle is how cohkit decided the conjunction-absorption
+characterization of p-entailment before it read the target's coherent
+values from ExtensionProblem.coherent_at: Gilio's check on one member
+per subset conjunction of the premises and the target, 2^(n+1) - 1 of
+them, and per-world compound forms compared at the coherent values.
+
 The Fraction tableau kernel is the simplex cohkit.lp ran before its
 integer rows, with the pricing cohkit.lp uses now: every entry a
 Fraction, every pivot a Fraction division and subtraction per entry.
@@ -34,7 +40,7 @@ results, bases and tableaux exactly.
 import itertools
 from fractions import Fraction
 
-from cohkit.compound import LinForm
+from cohkit.compound import LinForm, _system_coherent
 from cohkit.events import (
     SIG_FALSE,
     SIG_TRUE,
@@ -44,7 +50,7 @@ from cohkit.events import (
     eval_formula,
 )
 from cohkit.lp import HullOutside, hull_membership
-from cohkit.rationals import ONE, ZERO
+from cohkit.rationals import ONE, ZERO, rat
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -275,6 +281,41 @@ def extension_oracle(members, values, target):
         return verdicts[t]
 
     return coherent_at
+
+
+def absorption_joint_oracle(family, target, universe):
+    """(joint_coherent, answer) of the conjunction-absorption route on the
+    joint system.  joint_coherent(t) is Gilio's check on the previsions of
+    every subset conjunction of the premises at 1 and the target at t,
+    each forced by the Frechet-Hoeffding bounds: 1 for a subset of
+    premises only, t for one holding the target.  answer compares the
+    per-world forms of the conjunction with and without the target,
+    voids worth 1, at each coherent t among 0 and 1, and at 1/2 when both
+    are coherent."""
+    family = tuple(family)
+    n = len(family)
+    everything = family + (target,)
+
+    def prevision_system(t):
+        return {frozenset(s): (t if n in s else ONE) for s in _subsets_in_order(n + 1)}
+
+    def joint_coherent(t):
+        return _system_coherent(everything, universe, prevision_system(t), True)
+
+    one = LinForm.of(ONE)
+    small = compound_world_forms(family, universe, prevision_system(ONE), True)
+
+    def maps_equal(t):
+        big = compound_world_forms(everything, universe, prevision_system(t), True)
+        return all(
+            (one if a is None else a) == (one if b is None else b) for a, b in zip(big, small)
+        )
+
+    at_zero, at_one = joint_coherent(ZERO), joint_coherent(ONE)
+    points = [t for t, ok in ((ZERO, at_zero), (ONE, at_one)) if ok]
+    if at_zero and at_one:
+        points.append(rat(1, 2))
+    return joint_coherent, all(maps_equal(t) for t in points)
 
 
 def bisection_brackets(coherent_at, seed, tolerance):

@@ -22,6 +22,7 @@ from cohkit.coherence import (
 from cohkit.compound import (
     chain_family,
     demorgan_check,
+    entailment_problem,
     frechet_bounds,
     frechet_bounds_or,
     gs_and,
@@ -315,10 +316,12 @@ def test_criterion_8_p_entailment(capsys):
     inner = ConditionalEvent(E, H & K)
     outer = ConditionalEvent(H, K)
     combined = ConditionalEvent(E & H, K)
-    assert p_entails(unit_verdict([inner, outer], u3), combined)
+    assert p_entails(entailment_problem(unit_verdict([inner, outer], u3), combined))
     u = free_universe()
-    assert p_entails(unit_verdict([AH], u), AH)
-    assert not p_entails(unit_verdict([AH, BK], u), ConditionalEvent(A & B, H | K))
+    assert p_entails(entailment_problem(unit_verdict([AH], u), AH))
+    assert not p_entails(
+        entailment_problem(unit_verdict([AH, BK], u), ConditionalEvent(A & B, H | K))
+    )
     # both characterizations agree across a batch of 4-atom instances
     targets = [
         AH,
@@ -344,9 +347,8 @@ def test_criterion_8_p_entailment(capsys):
             continue
         verdict = unit_verdict(family, u)
         for target in targets:
-            assert p_entails(verdict, target) == p_entails_absorption(
-                verdict, target
-            ), (family, target)
+            problem = entailment_problem(verdict, target)
+            assert p_entails(problem) == p_entails_absorption(problem), (family, target)
             pairs += 1
     assert pairs >= 40
     with capsys.disabled():

@@ -188,6 +188,42 @@ def test_entails_checks_premises_once(coherence_checks):
     assert [len(a.family) for a in coherence_checks] == [2]
 
 
+def test_entails_runs_three_coherence_checks(monkeypatch):
+    # the premises once, then the target at 1 and at 0 once each: both
+    # characterizations read the same extension problem
+    checked = []
+    original = cohkit.coherence._gilio_check
+
+    def counted(table, *args):
+        checked.append(len(table.members))
+        return original(table, *args)
+
+    for module in (cohkit.coherence, cohkit.compound):
+        monkeypatch.setattr(module, "_gilio_check", counted)
+    code, _text = run_cli("entails", str(DATA / "chain_entail.coh"))
+    assert code == 0
+    assert checked == [2, 3, 3]
+
+
+def test_entails_and_rule_on_twelve_premises(monkeypatch):
+    # B_i|A for i = 1..12 p-entail B_1 & ... & B_12 | A; the widest table
+    # is the premises plus the target, not one member per subset
+    widths = []
+    original = cohkit.coherence.MemberTable._build
+
+    def counted(table, members, *args):
+        widths.append(len(members))
+        return original(table, members, *args)
+
+    monkeypatch.setattr(cohkit.coherence.MemberTable, "_build", counted)
+    code, text = run_cli("entails", str(DATA / "and_rule_12.coh"))
+    assert code == 0
+    report = parse_report(text)
+    assert report.get("p-entails") is True
+    assert report.get("characterizations-agree") is True
+    assert max(widths) <= 13
+
+
 def test_interval_tables_check_each_base_once(coherence_checks):
     compute_intervals(rat(1, 4))
     bases = {a.values for a in coherence_checks}

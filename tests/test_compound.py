@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cohkit.coherence import Assessment, check_coherence, extension_bounds
+from cohkit.coherence import Assessment, ExtensionProblem, check_coherence, extension_bounds
 from cohkit.compound import (
     CompoundError,
     IDENTITIES,
@@ -12,6 +12,7 @@ from cohkit.compound import (
     chain_rule_prevision,
     compound_identity_check,
     demorgan_check,
+    entailment_problem,
     frechet_bounds,
     frechet_bounds_or,
     gs_and,
@@ -30,7 +31,7 @@ from cohkit.events import Atom, EventError, TOP, Universe
 from cohkit.rationals import ONE, ZERO, rat
 from cohkit.trivalent import ConditionalEvent, free_universe, negate
 
-from oracles import compound_world_forms
+from oracles import absorption_joint_oracle, compound_world_forms
 
 A, B, H, K, E = Atom("A"), Atom("B"), Atom("H"), Atom("K"), Atom("E")
 AH = ConditionalEvent(A, H)
@@ -57,6 +58,11 @@ def region_value(crq, u, predicate):
 def unit_verdict(family, universe):
     """check_coherence of the family assessed at 1, which p-entailment takes."""
     return check_coherence(Assessment.build(family, [ONE] * len(family)), universe)
+
+
+def unit_problem(family, universe, target):
+    """The entailment problem of the family assessed at 1 and the target."""
+    return entailment_problem(unit_verdict(family, universe), target)
 
 
 def test_linform_arithmetic():
@@ -412,25 +418,28 @@ def test_p_entailment_suite():
     inner = ConditionalEvent(E, H & K)
     outer = ConditionalEvent(H, K)
     combined = ConditionalEvent(E & H, K)
-    assert p_entails(unit_verdict([inner, outer], u3), combined)
+    assert p_entails(unit_problem([inner, outer], u3, combined))
     u = free_universe()
-    assert p_entails(unit_verdict([AH], u), AH)
-    assert not p_entails(unit_verdict([AH, BK], u), ConditionalEvent(A & B, H | K))
+    assert p_entails(unit_problem([AH], u, AH))
+    assert not p_entails(unit_problem([AH, BK], u, ConditionalEvent(A & B, H | K)))
     with pytest.raises(CompoundError):
-        p_entails(unit_verdict([AH, negate(AH)], u), BK)
+        p_entails(unit_problem([AH, negate(AH)], u, BK))
 
 
 @pytest.mark.parametrize("entails", [p_entails, p_entails_absorption])
 def test_p_entailment_rejects_other_verdicts(entails):
     u = free_universe()
-    # a coherent verdict whose values are not all one
+    # a coherent verdict whose values are not all one, whether the
+    # problem is built through entailment_problem or directly
     half = check_coherence(Assessment.build([AH, BK], [ONE, rat(1, 2)]), u)
     assert half.coherent
     with pytest.raises(CompoundError, match="assessed at 1"):
-        entails(half, AH)
+        entails(entailment_problem(half, AH))
+    with pytest.raises(CompoundError, match="assessed at 1"):
+        entails(ExtensionProblem(half, AH))
     # the all-ones verdict of a family that is not p-consistent
     with pytest.raises(CompoundError, match="not p-consistent"):
-        entails(unit_verdict([AH, negate(AH)], u), BK)
+        entails(unit_problem([AH, negate(AH)], u, BK))
 
 
 def test_p_entailment_characterizations_agree():
@@ -452,9 +461,64 @@ def test_p_entailment_characterizations_agree():
             continue
         verdict = unit_verdict(family, u)
         for target in candidates:
-            assert p_entails(verdict, target) == p_entails_absorption(
-                verdict, target
-            ), (family, target)
+            problem = entailment_problem(verdict, target)
+            assert p_entails(problem) == p_entails_absorption(problem), (family, target)
+
+
+def _entailment_case(rng):
+    """A universe over 2-5 atoms, sometimes constrained, a p-consistent
+    family of 1-5 premises and a target: two premises and the target of
+    one of Adams' rules (and, cut, or, transitivity) on random formulas,
+    or one random premise and target, then random premises up to five."""
+    while True:
+        names = "ABCDE"[: rng.randint(2, 5)]
+        constraints = [
+            (_random_literal(rng, names) & _random_literal(rng, names), False)
+            for _ in range(rng.choice((0, 0, 1)))
+        ]
+        try:
+            u = Universe(names, constraints)
+        except EventError:
+            continue
+        a, b, c, h = (_random_formula(rng, names) for _ in range(4))
+        premises, target = rng.choice(
+            (
+                ([(a, h), (b, h)], (a & b, h)),
+                ([(a, h & b), (b, h)], (a, h)),
+                ([(a, h), (a, b)], (a, h | b)),
+                ([(b, a), (c, b)], (c, a)),
+                ([(a, h)], (b, c)),
+            )
+        )
+        for _ in range(rng.randint(0, 5 - len(premises))):
+            premises.append((_random_formula(rng, names), _random_formula(rng, names)))
+        rng.shuffle(premises)
+        family = [ConditionalEvent(cons, ante) for cons, ante in premises]
+        target = ConditionalEvent(*target)
+        if not all(u.satisfiable(ce.antecedent) for ce in family + [target]):
+            continue
+        if p_consistent(family, u):
+            return u, family, target
+
+
+def test_absorption_matches_the_joint_system_oracle():
+    """The coherent target values read from the extension problem are
+    those of the joint system of all subset conjunctions, and the
+    absorption answer is the joint-system route's, on seeded p-consistent
+    families of 1-5 premises over 2-5 atoms."""
+    rng = random.Random(20231107)
+    seen = set()
+    for _ in range(150):
+        u, family, target = _entailment_case(rng)
+        problem = entailment_problem(unit_verdict(family, u), target)
+        joint_coherent, answer = absorption_joint_oracle(family, target, u)
+        for t in (ZERO, rat(1, 2), ONE):
+            assert joint_coherent(t) == problem.coherent_at(t), (family, target, t)
+        assert answer == p_entails_absorption(problem), (family, target)
+        seen.add((len(family), problem.coherent_at(ZERO), problem.coherent_at(ONE)))
+    # every premise count, and each coherent target set: {1}, {0}, [0, 1]
+    assert {n for n, _zero, _one in seen} == {1, 2, 3, 4, 5}
+    assert {(zero, one) for _n, zero, one in seen} == {(False, True), (True, False), (True, True)}
 
 
 def test_identity_checks():
