@@ -21,7 +21,6 @@ numeric values with voids.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -37,10 +36,11 @@ from .events import (
 )
 from .lp import (
     HullOutside,
+    IntHull,
     hull_membership,
-    hull_projection,
-    hull_zero_mass,
-    linear_range,
+    hull_projection_ints,
+    hull_zero_mass_ints,
+    linear_range_ints,
 )
 from .rationals import ONE, ZERO, integer_row, rat
 from .trivalent import ConditionalEvent
@@ -150,12 +150,18 @@ class MemberTable:
     no level.  Grouping a subfamily yields its constituent value
     patterns, the all-void pattern excluded, ordered member by member
     with values largest first and void last.
+
+    The LPs read the table's int form instead of its rationals: every
+    level value and assessed value as ints over their lcm, computed once
+    per table, and the rank patterns kept beside the decoded ones.
     """
 
     def __init__(self, levels: Sequence, values: Sequence, num_worlds: int):
         self._build([_ranked(member) for member in levels], [rat(v) for v in values], num_worlds)
 
-    def _build(self, members: list, values: list, num_worlds: int) -> None:
+    def _build(self, members: list, values: list, num_worlds: int, scan=None) -> None:
+        """scan: the (decode, groups, distinct) of a twin over the same
+        members, which depend on the members only."""
         self.members = members
         self.values = values
         if len(self.members) != len(self.values):
@@ -163,6 +169,10 @@ class MemberTable:
         if not self.members:
             raise CoherenceError("empty family")
         self.num_worlds = num_worlds
+        self._int_form = None
+        if scan is not None:
+            self._decode, self._groups, self._distinct = scan
+            return
         # a pattern holds per member the rank of its level, or the level
         # count where the member is void, so int order is the value order
         self._decode = [tuple(v for v, _bits in m) + (None,) for m in self.members]
@@ -178,11 +188,11 @@ class MemberTable:
 
     def revalued(self, values: Sequence) -> "MemberTable":
         """The same members under other values, sharing the world scan
-        and the pattern cache (patterns do not depend on values)."""
-        twin = copy.copy(self)
-        twin.values = [rat(v) for v in values]
-        if len(twin.values) != len(self.members):
-            raise CoherenceError("member and value counts differ")
+        and the pattern cache (patterns do not depend on values); the
+        twin computes its own int form."""
+        twin = MemberTable.__new__(MemberTable)
+        scan = (self._decode, self._groups, self._distinct)
+        twin._build(self.members, [rat(v) for v in values], self.num_worlds, scan)
         return twin
 
     def _scan_worlds(self) -> dict:
@@ -196,16 +206,39 @@ class MemberTable:
     def patterns(self, subset: tuple) -> tuple:
         """Distinct non-all-void value patterns of the subfamily."""
         cached = self._groups.get(subset)
-        if cached is not None:
-            return cached
-        seen = {tuple([full[i] for i in subset]) for full in self._distinct}
-        seen.discard(tuple([len(self.members[i]) for i in subset]))
-        decode = [self._decode[i] for i in subset]
-        ordered = tuple(
-            tuple([d[rank] for d, rank in zip(decode, pattern)]) for pattern in sorted(seen)
-        )
-        self._groups[subset] = ordered
-        return ordered
+        if cached is None:
+            seen = {tuple([full[i] for i in subset]) for full in self._distinct}
+            seen.discard(tuple([len(self.members[i]) for i in subset]))
+            ranks = tuple(sorted(seen))
+            decode = [self._decode[i] for i in subset]
+            decoded = tuple(
+                tuple([d[rank] for d, rank in zip(decode, pattern)]) for pattern in ranks
+            )
+            cached = self._groups[subset] = (decoded, ranks)
+        return cached[0]
+
+    def rank_patterns(self, subset: tuple) -> tuple:
+        """The patterns of the subfamily as level ranks, the level count
+        standing for void; grouped by patterns."""
+        self.patterns(subset)
+        return self._groups[subset][1]
+
+    def int_form(self) -> tuple:
+        """(levels, values, D): per member its level values, then its
+        assessed value in the void position, and the assessed values,
+        all as ints over D, the lcm of their denominators."""
+        if self._int_form is None:
+            n = len(self.values)
+            flat, scale = integer_row([v for d in self._decode for v in d[:-1]] + self.values)
+            values = flat[-n:]
+            levels = []
+            start = 0
+            for i, member in enumerate(self.members):
+                stop = start + len(member)
+                levels.append(tuple(flat[start:stop]) + (values[i],))
+                start = stop
+            self._int_form = (levels, values, scale)
+        return self._int_form
 
     def hull_rows(self, subset: tuple, patterns: Optional[Sequence] = None):
         """Constituent points of the subfamily, or of a selection of its
@@ -218,21 +251,31 @@ class MemberTable:
             for pattern in patterns
         ]
 
-    def subfamily_hull(self, subset: tuple, patterns: Optional[Sequence] = None):
-        """One round on the subfamily (or on a selection of its patterns):
-        HullOutside, or HullZeroMass whose zero_mass holds the positions
-        in subset of the members with zero antecedent mass at every hull
-        solution."""
-        if patterns is None:
-            patterns = self.patterns(subset)
-        if not patterns:
+    def int_hull(self, subset: tuple, ranks: Optional[Sequence] = None) -> IntHull:
+        """hull_rows of the subfamily (or of a selection of its rank
+        patterns) and its values, as an IntHull over the table's D."""
+        if ranks is None:
+            ranks = self.rank_patterns(subset)
+        levels, values, scale = self.int_form()
+        decode = [levels[i] for i in subset]
+        points = [tuple([d[rank] for d, rank in zip(decode, pattern)]) for pattern in ranks]
+        return IntHull.build(points, [values[i] for i in subset], scale)
+
+    def subfamily_hull(self, subset: tuple, ranks: Optional[Sequence] = None):
+        """One round on the subfamily (or on a selection of its rank
+        patterns): HullOutside, or HullZeroMass whose zero_mass holds the
+        positions in subset of the members with zero antecedent mass at
+        every hull solution."""
+        if ranks is None:
+            ranks = self.rank_patterns(subset)
+        if not ranks:
             raise CoherenceError("subfamily has no effective constituent")
-        point = tuple(self.values[i] for i in subset)
+        voids = [len(self.members[i]) for i in subset]
         effective = [
-            [k for k, entry in enumerate(pattern) if entry is not None]
-            for pattern in patterns
+            [k for k, (rank, void) in enumerate(zip(pattern, voids)) if rank != void]
+            for pattern in ranks
         ]
-        return hull_zero_mass(self.hull_rows(subset, patterns), point, effective)
+        return hull_zero_mass_ints(self.int_hull(subset, ranks), effective)
 
 
 def _world_table(members, values) -> MemberTable:
@@ -383,8 +426,7 @@ def brier_dominator(verdict: CoherenceVerdict) -> Optional[tuple]:
     if verdict.coherent:
         return None
     subset = verdict.failing_subfamily
-    point = tuple(table.values[i] for i in subset)
-    projected = hull_projection(table.hull_rows(subset), point).point
+    projected = hull_projection_ints(table.int_hull(subset)).point
     candidate = list(table.values)
     for k, i in enumerate(subset):
         candidate[i] = projected[k]
@@ -452,17 +494,18 @@ def _extension_interval(table: MemberTable) -> ExtensionBounds:
     2000).  At most n + 1 rounds for n base members.
     """
     target = len(table.members) - 1
+    target_void = len(table.members[target])
     subset = tuple(range(target))
     lower = upper = None
     rounds = []
     while True:
         rounds.append(subset)
-        patterns = table.patterns(subset + (target,))
-        found = linear_range(*_target_program(patterns, [table.values[i] for i in subset]))
+        ranks = table.rank_patterns(subset + (target,))
+        found = linear_range_ints(*_target_program(table, subset, ranks))
         if found is not None:
             lower = found[0] if lower is None else min(lower, found[0])
             upper = found[1] if upper is None else max(upper, found[1])
-        void = [pattern[:-1] for pattern in patterns if pattern[-1] is None]
+        void = [pattern[:-1] for pattern in ranks if pattern[-1] == target_void]
         if not subset or not void:
             break
         outcome = table.subfamily_hull(subset, void)
@@ -474,19 +517,30 @@ def _extension_interval(table: MemberTable) -> ExtensionBounds:
     return ExtensionBounds(lower, upper, tuple(rounds))
 
 
-def _target_program(patterns, values):
-    """linear_range arguments of one round: a column per constituent
-    pattern (the bet e_i - p_i of each effective base member, then 1 when
-    the target is non-void), right-hand side (0, ..., 0, 1), and the
-    target's value as cost (0 where it is void)."""
+def _target_program(table: MemberTable, subset: tuple, ranks) -> tuple:
+    """linear_range_ints arguments of one round, from the rank patterns
+    of the subset plus the target (the table's last member), as ints
+    over the table's denominator D: a column per pattern (the bet
+    E_i - P_i of each effective base member, then D when the target is
+    non-void), right-hand side (0, ..., 0, D), the target's value as
+    cost (0 where it is void), and D.  A void base member reads its
+    assessed value, so its bet is 0."""
+    levels, values, scale = table.int_form()
+    target_levels = levels[-1]
+    target_void = len(target_levels) - 1
+    bets = [[level - values[i] for level in levels[i]] for i in subset]
     columns = []
     costs = []
-    for pattern in patterns:
-        *base, value = pattern
-        bets = tuple(ZERO if e is None else e - p for e, p in zip(base, values))
-        columns.append(bets + (ZERO if value is None else ONE,))
-        costs.append(ZERO if value is None else value)
-    return columns, (ZERO,) * len(values) + (ONE,), costs
+    for pattern in ranks:
+        *base, rank = pattern
+        column = tuple([bet[r] for bet, r in zip(bets, base)])
+        if rank == target_void:
+            columns.append(column + (0,))
+            costs.append(0)
+        else:
+            columns.append(column + (scale,))
+            costs.append(target_levels[rank])
+    return columns, [0] * len(subset) + [scale], costs, scale
 
 
 class ExtensionProblem:

@@ -5,17 +5,23 @@ by Bland's rule right after a degenerate pivot, which keeps it finite
 (see run_simplex): row i of a tableau is a list of Python ints standing
 for that list over dens[i], a positive denominator, kept in lowest
 terms.  A pivot cross-multiplies integers and divides each row by one
-gcd (fraction-free elimination, after Edmonds and Bareiss), the ratio
-test compares integer products, and rationals are built only for the
-basic values and duals handed back; the exact linear solves share these
-rows.
+gcd (fraction-free elimination, after Edmonds and Bareiss), and the
+ratio test compares integer products.  The exact linear solves (the
+duals of an optimal basis, Wolfe's affine steps, solve_linear) run on
+the same pivot.
 
-Every answer is verified against its defining inequalities before being
-returned, apart from the kernel and on the same fraction-free idea: the
-input data are scaled to ints over one common denominator, a witness
-(weights, separator, duals, projection) to ints over the lcm of its own
-denominators, and each identity is checked on those ints, so callers can
-rely on zero-residual witnesses and certificates.
+The data stay ints over one common denominator from the input to the
+checked certificate: the phase-1 rows are the input rows in lowest
+terms, basic solutions and duals come back as ints over their lcm, and
+every answer is verified against its defining inequalities on those
+ints before being returned, so callers can rely on zero-residual
+witnesses and certificates.  Rationals are built only for the values
+and duals handed back.  The one conversion from rationals happens at
+the front doors (hull_membership, hull_zero_mass, hull_projection,
+linear_range, solve_linear), which call integer_row once and then the
+int core.  cohkit.coherence skips it: a MemberTable holds its values
+and levels as ints over one denominator and calls hull_zero_mass_ints,
+hull_projection_ints and linear_range_ints directly.
 
 The entry points are the ones the coherence engine uses, each keeping
 its nonnegative variables native instead of splitting signs: convex-hull
@@ -140,14 +146,15 @@ def run_simplex(tableau, dens, basis):
         basis[leave] = enter
 
 
-def _phase1(rows, rhs_col):
+def _phase1(rows, rhs, scale):
     """Set up and run phase 1 on equality rows; returns tableau pieces.
 
-    rows: list of rational coefficient lists (equalities), rhs_col: list
-    of right hand sides.  Each row becomes ints over its lcm denominator,
-    sign-fixed to a nonnegative rhs, with an artificial column appended.
-    Returns (tableau, dens, basis, flips, ncols) after the phase-1 run,
-    with the objective row expressing sum of artificials.
+    rows: int coefficient lists (equalities) and rhs: int right-hand
+    sides, all over the common denominator scale.  Each row, with its
+    rhs and its artificial column (1, so scale), is sign-fixed to a
+    nonnegative rhs and brought to lowest terms.  Returns (tableau,
+    dens, basis, flips, ncols) after the phase-1 run, with the objective
+    row expressing sum of artificials.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -155,21 +162,20 @@ def _phase1(rows, rhs_col):
     tab = []
     dens = []
     for i in range(m):
-        row, d = integer_row(list(rows[i]) + [rhs_col[i]])
-        flip = row[-1] < 0
-        if flip:
-            row = [-v for v in row]
+        flip = rhs[i] < 0
+        sign = -1 if flip else 1
+        row = [sign * v for v in rows[i]] + [0] * m + [sign * rhs[i]]
+        row[n + i] = scale
+        row, d = _reduced(row, scale)
         flips.append(flip)
-        row[n:n] = [0] * m
-        row[n + i] = d
         tab.append(row)
         dens.append(d)
     # minus the sum of the rows, over their common denominator
     common = lcm(*dens)
     obj = [0] * (n + m + 1)
     for row, d in zip(tab, dens):
-        scale = common // d
-        obj = [o - scale * v for o, v in zip(obj, row)]
+        k = common // d
+        obj = [o - k * v for o, v in zip(obj, row)]
     obj[n : n + m] = [0] * m
     obj, d = _reduced(obj, common)
     tab.append(obj)
@@ -182,22 +188,22 @@ def _phase1(rows, rhs_col):
 
 
 def _basic_solution(tab, dens, basis, n):
-    x = [ZERO] * n
+    """The basic solution as (X, L), ints over their lcm in lowest
+    terms: x_j = X_j / L."""
+    scale = lcm(*(d for d, col in zip(dens, basis) if col < n))
+    x = [0] * n
     for i, col in enumerate(basis):
         if col < n:
-            x[col] = rat(tab[i][-1], dens[i])
-    return x
+            x[col] = tab[i][-1] * (scale // dens[i])
+    return _reduced(x, scale)
 
 
 def _phase1_duals(tab, dens, flips, n):
-    """Duals y_i = 1 - reduced cost of artificial column i, unflipped."""
+    """Duals y_i = 1 - reduced cost of artificial column i, unflipped,
+    as ints over the objective row's denominator: (Y, dens[-1])."""
     obj = tab[-1]
     d = dens[-1]
-    duals = []
-    for i, flip in enumerate(flips):
-        y = rat(d - obj[n + i], d)
-        duals.append(-y if flip else y)
-    return duals
+    return [obj[n + i] - d if flip else d - obj[n + i] for i, flip in enumerate(flips)], d
 
 
 def _drive_out_artificials(tab, dens, basis, n):
@@ -226,13 +232,14 @@ def _strip_columns(tab, dens, keep_width):
         tab[i], dens[i] = _reduced(row, dens[i])
 
 
-def _set_objective(tab, dens, basis, costs):
-    """Install the reduced-cost row of min costs.x on a feasible basis.
+def _set_objective(tab, dens, basis, costs, scale):
+    """Install the reduced-cost row of min costs.x on a feasible basis,
+    the costs being ints over scale.
 
     Basic column col of row i holds dens[i], so clearing it from obj / d
     leaves (obj * dens[i] - obj[col] * row) / (d * dens[i])."""
     width = len(tab[0])
-    obj, d = integer_row(list(costs) + [0] * (width - len(costs)))
+    obj, d = _reduced(list(costs) + [0] * (width - len(costs)), scale)
     for i, col in enumerate(basis):
         coeff = obj[col]
         if coeff:
@@ -240,8 +247,6 @@ def _set_objective(tab, dens, basis, costs):
             obj, d = _reduced([a * di - coeff * b for a, b in zip(obj, tab[i])], d * di)
     tab[-1] = obj
     dens[-1] = d
-
-
 
 
 # -- integer forms of the data and the witnesses ------------------------------
@@ -284,27 +289,42 @@ class HullOutside:
 
 
 @dataclass(frozen=True)
-class _Hull:
-    """The points and the target of a hull query.
+class IntHull:
+    """A hull query as ints over one common denominator, scale.
 
-    unique: the distinct points as rationals, in order of first
-    occurrence (the phase-1 columns); target: p as rationals.  The same
-    data as ints over scale, the lcm of all their denominators: ints[j]
-    is scale * unique[j] and p is scale * target.  origin[j] is the input
-    index of unique point j's first occurrence, column[h] the index in
-    unique of input point h.
+    points: the distinct points as int tuples, in order of first
+    occurrence (the phase-1 columns); p: the target.  origin[j] is the
+    input index of point j's first occurrence, column[h] the index in
+    points of input point h.
     """
 
-    unique: list
-    target: list
-    ints: list
+    points: list
     p: list
     scale: int
     origin: list
     column: list
 
+    @staticmethod
+    def build(points: Sequence, p: Sequence, scale: int) -> "IntHull":
+        """The query of the int point tuples and the int target over
+        scale; a duplicated point would only grow the tableau, so each
+        is kept once."""
+        unique, origin, column = [], [], []
+        seen = {}
+        for h, q in enumerate(points):
+            j = seen.get(q)
+            if j is None:
+                j = seen[q] = len(unique)
+                unique.append(q)
+                origin.append(h)
+            column.append(j)
+        return IntHull(unique, list(p), scale, origin, column)
 
-def _hull_input(points, p):
+
+def _hull_input(points, p) -> IntHull:
+    """The hull query of points and target given as rationals, ints or
+    strings: the front doors' one conversion, to ints over the lcm of
+    all their denominators."""
     pts = [_rationals(q) for q in points]
     if not pts:
         raise LPError("empty point list")
@@ -313,57 +333,52 @@ def _hull_input(points, p):
     if any(len(q) != dim for q in pts):
         raise LPError("dimension mismatch between points and target")
     flat, scale = integer_row([c for q in pts for c in q] + target)
-    # duplicated points only grow the tableau
-    unique, ints, origin, column = [], [], [], []
-    seen = {}
-    for h, q in enumerate(pts):
-        key = tuple(flat[h * dim : (h + 1) * dim])
-        j = seen.get(key)
-        if j is None:
-            j = seen[key] = len(ints)
-            unique.append(q)
-            ints.append(key)
-            origin.append(h)
-        column.append(j)
-    return _Hull(unique, target, ints, flat[len(pts) * dim :], scale, origin, column)
+    ints = [tuple(flat[h * dim : (h + 1) * dim]) for h in range(len(pts))]
+    return IntHull.build(ints, flat[len(pts) * dim :], scale)
 
 
 def _weights_phase1(hull):
     """Phase 1 on sum(w)=1, sum(w q) = target, w >= 0."""
-    rows = [[q[i] for q in hull.unique] for i in range(len(hull.target))]
-    rows.append([ONE] * len(hull.unique))
-    return _phase1(rows, hull.target + [ONE])
+    rows = [[q[i] for q in hull.points] for i in range(len(hull.p))]
+    rows.append([hull.scale] * len(hull.points))
+    return _phase1(rows, hull.p + [hull.scale], hull.scale)
 
 
-def _checked_weights(cols, hull):
-    """Weights on the unique points, verified exactly and spread back
-    onto the input list (first occurrences).  As ints w over their lcm
-    L, with points Q and target P over the common denominator: w >= 0,
-    sum(w) = L and sum(w Q) = L P."""
-    w, total = integer_row(cols)
+def _verify_weights(w, total, hull):
+    """Weights w / total on the distinct points, verified exactly: with
+    points Q and target P over the common denominator, w >= 0,
+    sum(w) = total and sum(w Q) = total P."""
     if any(v < 0 for v in w):
         raise LPInternalError("negative hull weight")
-    if sum(w) != total or _combine(w, hull.ints) != [total * c for c in hull.p]:
+    if sum(w) != total or _combine(w, hull.points) != [total * c for c in hull.p]:
         raise LPInternalError("hull weights fail exact recomposition")
+
+
+def _checked_weights(w, total, hull):
+    """The verified weights w / total as rationals, spread back onto the
+    input list (first occurrences)."""
+    _verify_weights(w, total, hull)
     weights = [ZERO] * len(hull.column)
-    for j, v in zip(hull.origin, cols):
-        weights[j] = v
+    for j, v in zip(hull.origin, w):
+        if v:
+            weights[j] = rat(v, total)
     return tuple(weights)
 
 
 def _checked_separator(tab, dens, flips, total, hull):
     """The separator of the phase-1 duals, once it is verified strict.
 
-    The separator is S / L: S the negated duals as ints over their lcm,
-    L the largest |S_i|.  With points Q and target P over the common
-    denominator D, S.(Q - P) > 0 for every point; the margin, the least
-    s.(q - p), is min S.(Q - P) / (L D)."""
-    dual, _ = integer_row(_phase1_duals(tab, dens, flips, total)[: len(hull.p)])
-    largest = max(map(abs, dual))
+    The duals are ints over one denominator, so the separator is S / L:
+    S the negated duals of the point rows, L the largest |S_i|.  With
+    points Q and target P over the common denominator D, S.(Q - P) > 0
+    for every point; the margin, the least s.(q - p), is
+    min S.(Q - P) / (L D)."""
+    duals, _ = _phase1_duals(tab, dens, flips, total)
+    s = [-v for v in duals[: len(hull.p)]]
+    largest = max(map(abs, s))
     if largest == 0:
         raise LPInternalError("zero separating vector")
-    s = [-v for v in dual]
-    gap = min(_dot(s, q) for q in hull.ints) - _dot(s, hull.p)
+    gap = min(_dot(s, q) for q in hull.points) - _dot(s, hull.p)
     if gap <= 0:
         raise LPInternalError("separator fails strictness check")
     return HullOutside(
@@ -380,8 +395,7 @@ def hull_membership(points: Sequence, p: Sequence):
     hull = _hull_input(points, p)
     tab, dens, basis, flips, total = _weights_phase1(hull)
     if tab[-1][-1] == 0:
-        cols = _basic_solution(tab, dens, basis, total)
-        return HullInside(_checked_weights(cols, hull))
+        return HullInside(_checked_weights(*_basic_solution(tab, dens, basis, total), hull))
     return _checked_separator(tab, dens, flips, total, hull)
 
 
@@ -413,38 +427,45 @@ def hull_zero_mass(points: Sequence, p: Sequence, counts: Sequence):
     the same tableau maximise the summed mass of R and drop from R the
     coordinates that gain mass, until the optimum is 0.  Every optimum is
     recomposed exactly and the final one carries a checked dual vector.
-    Returns HullOutside or HullZeroMass.
+    Returns HullOutside or HullZeroMass; hull_zero_mass_ints does the
+    work on the points and p as ints.
     """
-    hull = _hull_input(points, p)
+    return hull_zero_mass_ints(_hull_input(points, p), counts)
+
+
+def hull_zero_mass_ints(hull: IntHull, counts: Sequence):
+    """hull_zero_mass on an IntHull; counts[h] belongs to input point h."""
     if len(counts) != len(hull.column):
         raise LPError("one coordinate list per point required")
     # a unique column stands for all its duplicates, so mass on it can
     # be spread over every coordinate any of them counts
-    column_counts = [set() for _ in hull.ints]
+    column_counts = [set() for _ in hull.points]
     for j, cs in zip(hull.column, counts):
         column_counts[j].update(cs)
 
     tab, dens, basis, flips, total = _weights_phase1(hull)
     if tab[-1][-1] != 0:
         return _checked_separator(tab, dens, flips, total, hull)
-    cols = _basic_solution(tab, dens, basis, total)
-    weights = _checked_weights(cols, hull)
+    cols, cols_scale = _basic_solution(tab, dens, basis, total)
+    weights = _checked_weights(cols, cols_scale, hull)
     rest = set(range(len(hull.p))) - _massed(cols, column_counts)
     if rest:
         _drive_out_artificials(tab, dens, basis, total)
         _strip_columns(tab, dens, total)
     while rest:
         scores = [len(rest & cs) for cs in column_counts]
-        _set_objective(tab, dens, basis, [-c for c in scores])
+        _set_objective(tab, dens, basis, [-c for c in scores], 1)
         if run_simplex(tab, dens, basis) != -1:
             raise LPInternalError("bounded polytope reported unbounded")
-        cols = _basic_solution(tab, dens, basis, total)
-        _checked_weights(cols, hull)
+        cols, cols_scale = _basic_solution(tab, dens, basis, total)
+        _verify_weights(cols, cols_scale, hull)
         if any(w != 0 and c != 0 for w, c in zip(cols, scores)):
             rest -= _massed(cols, column_counts)
             continue
-        certificate = _zero_mass_certificate(hull, basis, scores)
-        _verify_zero_mass(certificate, hull, counts, rest)
+        duals, denominator = _zero_mass_certificate(hull, basis, scores)
+        _verify_zero_mass(duals, denominator, hull, counts, rest)
+        *y, y0 = duals
+        certificate = tuple(rat(v, denominator) for v in y), rat(y0, denominator)
         return HullZeroMass(weights, tuple(sorted(rest)), certificate)
     return HullZeroMass(weights, (), None)
 
@@ -459,26 +480,24 @@ def _massed(cols, column_counts):
 
 def _zero_mass_certificate(hull, basis, scores):
     """Duals (y, y0) of an optimal basis of max scores.w over the hull
-    polytope: y.q_j + y0 = score_j on the basic columns, solved as
-    y.(D q_j, D) = D score_j over the common denominator D."""
+    polytope, as ints over their lcm: y.q_j + y0 = score_j on the basic
+    columns, solved as y.(D q_j, D) = D score_j over the common
+    denominator D."""
     d = hull.scale
-    columns = [q + (d,) for q in hull.ints]
-    solution = _basis_duals(columns, basis, [d * s for s in scores])
-    return tuple(solution[:-1]), solution[-1]
+    columns = [q + (d,) for q in hull.points]
+    return _basis_duals(columns, basis, [d * s for s in scores])
 
 
-def _verify_zero_mass(certificate, hull, counts, rest):
-    """With (y, y0) as ints (Y, Y0) over their lcm L, and points Q and
+def _verify_zero_mass(duals, denominator, hull, counts, rest):
+    """With (y, y0) as ints (Y, Y0) over denominator L, and points Q and
     target P over the common denominator D: Y.P + D Y0 = 0 (the value
     y.p + y0 is zero), and Y.Q_h + D Y0 >= L D |rest & counts[h]| for
     every input point h (dual feasibility)."""
-    y, y0 = certificate
-    ints, denominator = integer_row(list(y) + [y0])
-    *y, y0 = ints
+    *y, y0 = duals
     shift = hull.scale * y0
     if _dot(y, hull.p) + shift != 0:
         raise LPInternalError("zero-mass certificate has a nonzero value")
-    values = [_dot(y, q) + shift for q in hull.ints]
+    values = [_dot(y, q) + shift for q in hull.points]
     unit = denominator * hull.scale
     for j, cs in zip(hull.column, counts):
         if values[j] < unit * len(rest.intersection(cs)):
@@ -509,24 +528,33 @@ def _affine_weights(rows, p):
     base = rows[0]
     directions = [[a - b for a, b in zip(q, base)] for q in rows[1:]]
     residual = [a - b for a, b in zip(p, base)]
-    gram = [[_dot(d, e) for e in directions] for d in directions]
-    alphas = solve_linear(gram, [_dot(d, residual) for d in directions], len(directions))
-    if alphas is None:
+    normal = [[_dot(d, e) for e in directions] + [_dot(d, residual)] for d in directions]
+    solved = _solve(normal, len(directions))
+    if solved is None:
         raise LPInternalError("inconsistent normal equations")
-    return [ONE - sum(alphas, ZERO)] + alphas
+    alphas, scale = solved
+    return [rat(scale - sum(alphas), scale)] + [rat(a, scale) for a in alphas]
 
 
 def hull_projection(points: Sequence, p: Sequence) -> HullProjection:
     """Euclidean projection of p onto the convex hull of the points.
 
     Wolfe's min-norm-point algorithm (Math. Programming 11, 1976), which
-    terminates finitely in exact arithmetic.  The corral holds affinely
-    independent points with positive weights whose combination x is the
-    projection of p onto their affine hull.  A major cycle adds the point
-    q with the largest (p - x).(q - x) while that is positive; minor
-    cycles then move x towards the affine projection over the enlarged
-    corral, as far as the weights stay nonnegative, and drop the points
-    whose weight reaches zero.
+    terminates finitely in exact arithmetic; hull_projection_ints does
+    the work on the points and p as ints.
+    """
+    return hull_projection_ints(_hull_input(points, p))
+
+
+def hull_projection_ints(hull: IntHull) -> HullProjection:
+    """hull_projection on an IntHull.
+
+    The corral holds affinely independent points with positive weights
+    whose combination x is the projection of p onto their affine hull.
+    A major cycle adds the point q with the largest (p - x).(q - x)
+    while that is positive; minor cycles then move x towards the affine
+    projection over the enlarged corral, as far as the weights stay
+    nonnegative, and drop the points whose weight reaches zero.
 
     The loop runs on the points Q and the target P as ints over the
     common denominator D, with x held as ints X over the lcm L of the
@@ -534,8 +562,7 @@ def hull_projection(points: Sequence, p: Sequence) -> HullProjection:
     (L D)^2 times (p - x).(q - x): the same sign, order and ties.  The
     result is verified exactly.
     """
-    hull = _hull_input(points, p)
-    pts, target = hull.ints, hull.p
+    pts, target = hull.points, hull.p
     nearest = min(range(len(pts)), key=lambda j: _squared_distance(target, pts[j]))
     corral, lam = [nearest], [ONE]
     x, scale = list(pts[nearest]), 1
@@ -585,7 +612,7 @@ def _checked_projection(projection, hull):
     weights, scale = integer_row(projection.weights)
     if any(w < 0 for w in weights) or sum(weights) != scale:
         raise LPInternalError("projection weights are not convex")
-    x = _combine(weights, [hull.ints[j] for j in hull.column])
+    x = _combine(weights, [hull.points[j] for j in hull.column])
     unit = scale * hull.scale
     point = projection.point
     if len(point) != len(x) or any(
@@ -594,23 +621,26 @@ def _checked_projection(projection, hull):
         raise LPInternalError("projection weights fail exact recomposition")
     r = [scale * a - b for a, b in zip(hull.p, x)]
     offset = _dot(r, x)
-    if any(scale * _dot(r, q) > offset for q in hull.ints):
+    if any(scale * _dot(r, q) > offset for q in hull.points):
         raise LPInternalError("projection fails the obtuse-angle check")
     return projection
 
 
-def solve_linear(matrix, rhs, num_vars):
-    """One exact solution of matrix.x = rhs (free variables pinned to
-    zero), or None when the system is inconsistent."""
-    aug = []
-    dens = []
-    for i, coeffs in enumerate(matrix):
-        ints, d = integer_row(list(coeffs) + [rhs[i]])
-        aug.append(ints)
-        dens.append(d)
+def _solve(rows, num_vars):
+    """One solution of the int equations rows (each its coefficients,
+    then its right-hand side), free variables pinned to zero, as (X, L):
+    ints over their lcm in lowest terms.  None when inconsistent.
+
+    Gauss-Jordan elimination by the simplex pivot.  A row's positive
+    scale changes neither the pivot choices nor the solution, so every
+    row starts over denominator 1."""
+    aug = list(rows)
+    dens = [1] * len(aug)
     pivots = []
     row = 0
     for col in range(num_vars):
+        if row == len(aug):
+            break
         sel = next((r for r in range(row, len(aug)) if aug[r][col] != 0), None)
         if sel is None:
             continue
@@ -619,14 +649,25 @@ def solve_linear(matrix, rhs, num_vars):
         _pivot(aug, dens, row, col)
         pivots.append(col)
         row += 1
-        if row == len(aug):
-            break
     if any(aug[r][num_vars] != 0 for r in range(row, len(aug))):
         return None
-    solution = [rat(0)] * num_vars
+    scale = lcm(*dens[:row])
+    x = [0] * num_vars
     for r, col in enumerate(pivots):
-        solution[col] = rat(aug[r][num_vars], dens[r])
-    return solution
+        x[col] = aug[r][num_vars] * (scale // dens[r])
+    return _reduced(x, scale)
+
+
+def solve_linear(matrix, rhs, num_vars):
+    """One exact solution of matrix.x = rhs (free variables pinned to
+    zero), or None when the system is inconsistent."""
+    width = num_vars + 1
+    flat, _scale = integer_row([v for coeffs, b in zip(matrix, rhs) for v in (*coeffs, b)])
+    solved = _solve([flat[i : i + width] for i in range(0, len(flat), width)], num_vars)
+    if solved is None:
+        return None
+    x, scale = solved
+    return [rat(v, scale) for v in x]
 
 
 def linear_range(columns: Sequence, rhs: Sequence, costs: Sequence):
@@ -634,10 +675,8 @@ def linear_range(columns: Sequence, rhs: Sequence, costs: Sequence):
 
     Returns (lo, hi), or None when no such x exists.  The objective must
     be bounded below and above on the region; the extension LPs satisfy
-    that through a normalising row.  The maximum is the negated minimum
-    of -costs, so both ends share phase 1.  Each end is returned only
-    after _checked_optimum has verified it, on the data as ints over
-    their common denominator.
+    that through a normalising row.  The data are converted once to ints
+    over their common denominator for linear_range_ints.
     """
     cols = [_rationals(col) for col in columns]
     b = _rationals(rhs)
@@ -647,8 +686,17 @@ def linear_range(columns: Sequence, rhs: Sequence, costs: Sequence):
     m, n = len(b), len(cols)
     flat, scale = integer_row([v for col in cols for v in col] + b + c)
     int_cols = [flat[j * m : (j + 1) * m] for j in range(n)]
-    int_b, int_c = flat[n * m : n * m + m], flat[n * m + m :]
-    tab, dens, basis, _flips, total = _phase1([list(row) for row in zip(*cols)], b)
+    return linear_range_ints(int_cols, flat[n * m : n * m + m], flat[n * m + m :], scale)
+
+
+def linear_range_ints(columns: Sequence, rhs: Sequence, costs: Sequence, scale: int):
+    """linear_range on ints over the common denominator scale.
+
+    The maximum is the negated minimum of -costs, so both ends share
+    phase 1.  Each end is returned, as a rational, only after
+    _checked_optimum has verified it against the duals of its basis.
+    """
+    tab, dens, basis, _flips, total = _phase1([list(row) for row in zip(*columns)], rhs, scale)
     if tab[-1][-1] != 0:
         return None
     _drive_out_artificials(tab, dens, basis, total)
@@ -659,40 +707,39 @@ def linear_range(columns: Sequence, rhs: Sequence, costs: Sequence):
         work = tab[:]
         wdens = dens[:]
         wbasis = basis[:]
-        _set_objective(work, wdens, wbasis, c if sign == 1 else [-v for v in c])
+        signed = [sign * v for v in costs]
+        _set_objective(work, wdens, wbasis, signed, scale)
         if run_simplex(work, wdens, wbasis) != -1:
             raise LPError("objective unbounded over the region")
-        x = _basic_solution(work, wdens, wbasis, total)
-        signed = [sign * v for v in int_c]
-        y = _basis_duals(int_cols, wbasis, signed)
-        ends.append(sign * _checked_optimum(int_cols, int_b, signed, scale, x, y))
+        primal = _basic_solution(work, wdens, wbasis, total)
+        dual = _basis_duals(columns, wbasis, signed)
+        ends.append(sign * _checked_optimum(columns, rhs, signed, scale, primal, dual))
     return ends[0], ends[1]
 
 
-def _basis_duals(cols, basis, costs):
-    """Duals y of an optimal basis: y.cols[j] = costs[j] on its columns."""
-    duals = solve_linear(
-        [cols[j] for j in basis], [costs[j] for j in basis], len(cols[0])
-    )
-    if duals is None:
+def _basis_duals(columns, basis, costs):
+    """Duals of an optimal basis, y.columns[j] = costs[j] on its
+    columns, as (Y, L): ints over their lcm."""
+    solved = _solve([list(columns[j]) + [costs[j]] for j in basis], len(columns[0]))
+    if solved is None:
         raise LPInternalError("optimal basis has inconsistent duals")
-    return duals
+    return solved
 
 
-def _checked_optimum(cols, b, costs, scale, x, y):
+def _checked_optimum(cols, b, costs, scale, primal, dual):
     """costs.x, once x and y are verified to prove it the minimum.
 
-    cols, b and costs are ints over the common denominator scale; x and
-    y become ints X and Y over their lcms Lx and Ly.  Checked: X >= 0
-    and sum_j X_j cols[j] = Lx b (primal), Y.cols[j] <= Ly costs[j] for
-    every j (dual), and Lx Y.b = Ly costs.X (equal values).  The value
-    is costs.X / (Lx scale)."""
-    x, x_scale = integer_row(x)
+    cols, b and costs are ints over the common denominator scale; the
+    primal x and the dual y are ints X and Y over Lx and Ly.  Checked:
+    X >= 0 and sum_j X_j cols[j] = Lx b (primal), Y.cols[j] <= Ly
+    costs[j] for every j (dual), and Lx Y.b = Ly costs.X (equal values).
+    The value is costs.X / (Lx scale)."""
+    x, x_scale = primal
     if any(v < 0 for v in x):
         raise LPInternalError("negative primal value")
     if _combine(x, cols) != [x_scale * v for v in b]:
         raise LPInternalError("primal solution fails exact feasibility")
-    y, y_scale = integer_row(y)
+    y, y_scale = dual
     if any(_dot(y, col) > y_scale * cost for col, cost in zip(cols, costs)):
         raise LPInternalError("duals fail exact dual feasibility")
     value = _dot(costs, x)

@@ -30,6 +30,11 @@ values from ExtensionProblem.coherent_at: Gilio's check on one member
 per subset conjunction of the premises and the target, 2^(n+1) - 1 of
 them, and per-world compound forms compared at the coherent values.
 
+The rational target program is how cohkit built the endpoint LPs of an
+extension round before it read them from its member table's ints: one
+column of rationals per decoded constituent pattern, for the rational
+front door linear_range.
+
 The Fraction tableau kernel is the simplex cohkit.lp ran before its
 integer rows, with the pricing cohkit.lp uses now: every entry a
 Fraction, every pivot a Fraction division and subtraction per entry.
@@ -345,6 +350,22 @@ def _bisect_edge(coherent_at, end, good, tolerance):
         else:
             bad = mid
     return bad, good
+
+
+def target_program(patterns, values):
+    """linear_range arguments of one extension round from the decoded
+    patterns of the base subset plus the target (None where void): a
+    column per pattern (the bet e_i - p_i of each effective base member,
+    then 1 when the target is non-void), right-hand side (0, ..., 0, 1),
+    and the target's value as cost (0 where it is void)."""
+    columns = []
+    costs = []
+    for pattern in patterns:
+        *base, value = pattern
+        bets = tuple(ZERO if e is None else e - p for e, p in zip(base, values))
+        columns.append(bets + (ZERO if value is None else ONE,))
+        costs.append(ZERO if value is None else value)
+    return columns, (ZERO,) * len(values) + (ONE,), costs
 
 
 def _dot(u, v):

@@ -410,13 +410,13 @@ def test_dominance_check_rejects_a_nudged_projection(monkeypatch):
     u = Universe(["A"])
     assessment = Assessment.build(unconditional(A), [1 + nudge / 2])
     assert brier_dominator(check_coherence(assessment, u)) == (rat(1),)
-    original = cohkit.coherence.hull_projection
+    original = cohkit.coherence.hull_projection_ints
 
-    def nudged(points, p):
-        projection = original(points, p)
+    def nudged(hull):
+        projection = original(hull)
         return replace(projection, point=(projection.point[0] + nudge,))
 
-    monkeypatch.setattr(cohkit.coherence, "hull_projection", nudged)
+    monkeypatch.setattr(cohkit.coherence, "hull_projection_ints", nudged)
     with pytest.raises(CoherenceError, match="dominance"):
         brier_dominator(check_coherence(assessment, u))
 

@@ -19,7 +19,7 @@ from cohkit.coherence import (
     extension_bounds_members,
 )
 from cohkit.events import Atom, TOP, Universe
-from cohkit.rationals import rat
+from cohkit.rationals import integer_row, rat
 from cohkit.trivalent import ConditionalEvent
 
 from oracles import bisection_brackets, extension_oracle
@@ -82,10 +82,14 @@ def test_ratio_forced_bases(y, z):
 
 
 def _corrupt_duals(monkeypatch, corrupt):
+    """Apply corrupt, a map of rational dual vectors, to the duals the
+    engine computes as ints Y over a denominator L: to the rationals
+    Y / L, brought back to ints over their lcm."""
     original = lp._basis_duals
 
     def corrupted(cols, basis, costs):
-        return corrupt(original(cols, basis, costs))
+        ints, scale = original(cols, basis, costs)
+        return integer_row(corrupt([rat(v, scale) for v in ints]))
 
     monkeypatch.setattr(lp, "_basis_duals", corrupted)
 

@@ -19,7 +19,7 @@ from cohkit.lp import (
     hull_zero_mass,
     linear_range,
 )
-from cohkit.rationals import rat
+from cohkit.rationals import integer_row, rat
 
 import oracles
 from oracles import EQ, GE, brute_force_optimum, brute_force_projection
@@ -339,7 +339,7 @@ def test_run_simplex_terminates_on_beales_cycling_example(monkeypatch):
     monkeypatch.setattr(kernel, "_pivot", bounded_pivot)
     assert kernel.run_simplex(rows, dens, basis) == -1
     assert rat(rows[-1][-1], dens[-1]) == F(5, 4)
-    assert kernel._basic_solution(rows, dens, basis, 4) == [1, 0, 1, 0]
+    assert kernel._basic_solution(rows, dens, basis, 4) == ([1, 0, 1, 0], 1)
 
 
 def _random_equalities(rng):
@@ -366,16 +366,25 @@ def _random_equalities(rng):
     return rows, rhs
 
 
+def _as_rationals(ints, d):
+    return [Fraction(v, d) for v in ints]
+
+
 def test_two_phase_pipeline_matches_fraction_kernel():
     rng = random.Random(8128)
     seen = {"infeasible": 0, "negative pivot": 0, "dropped row": 0, "unbounded": 0}
     for _ in range(300):
         rows, rhs = _random_equalities(rng)
         tab, basis, flips, n = oracles.phase1(rows, rhs)
-        ints, dens, int_basis, int_flips, int_n = kernel._phase1(rows, rhs)
+        # the kernel takes the rows and rhs as ints over one denominator
+        flat, scale = integer_row([v for row in rows for v in row] + rhs)
+        width = len(rows[0])
+        int_rows = [flat[i : i + width] for i in range(0, len(rows) * width, width)]
+        int_rhs = flat[len(rows) * width :]
+        ints, dens, int_basis, int_flips, int_n = kernel._phase1(int_rows, int_rhs, scale)
         assert (int_basis, int_flips, int_n) == (basis, flips, n)
         _assert_same_tableau(ints, dens, tab)
-        assert kernel._phase1_duals(ints, dens, flips, n) == [
+        assert _as_rationals(*kernel._phase1_duals(ints, dens, flips, n)) == [
             (-1 if flip else 1) * (1 - tab[-1][n + i]) for i, flip in enumerate(flips)
         ]
         if tab[-1][-1] != 0:
@@ -394,13 +403,13 @@ def test_two_phase_pipeline_matches_fraction_kernel():
             del row[n:-1]
         kernel._strip_columns(ints, dens, n)
         _assert_same_tableau(ints, dens, tab)
-        assert kernel._basic_solution(ints, dens, int_basis, n) == [
+        assert _as_rationals(*kernel._basic_solution(ints, dens, int_basis, n)) == [
             next((tab[i][-1] for i, col in enumerate(basis) if col == j), 0)
             for j in range(n)
         ]
         costs = [_entry(rng) for _ in range(n)]
         oracles.set_objective(tab, basis, costs)
-        kernel._set_objective(ints, dens, int_basis, costs)
+        kernel._set_objective(ints, dens, int_basis, *integer_row(costs))
         _assert_same_tableau(ints, dens, tab)
         expected = oracles.run_simplex(tab, basis)
         assert kernel.run_simplex(ints, dens, int_basis) == expected
@@ -456,17 +465,17 @@ HALF = rat(1, 2)
 
 def test_checked_weights_rejects_nudged_weights():
     hull = kernel._hull_input([(0, 0), (1, 1), (0, 0)], (HALF, HALF))
-    assert kernel._checked_weights([HALF, HALF], hull) == (HALF, HALF, 0)
+    assert kernel._checked_weights(*integer_row([HALF, HALF]), hull) == (HALF, HALF, 0)
     for cols in ([HALF + NUDGE, HALF], [HALF + NUDGE, HALF - NUDGE]):
         with pytest.raises(LPInternalError, match="recomposition"):
-            kernel._checked_weights(cols, hull)
+            kernel._checked_weights(*integer_row(cols), hull)
 
 
 def test_checked_weights_rejects_negative_weight():
     # the weights sum to 1 and recompose p, but one is negative
     hull = kernel._hull_input([(0,), (1,), (2,)], (1,))
     with pytest.raises(LPInternalError, match="negative"):
-        kernel._checked_weights([-NUDGE, 1 + 2 * NUDGE, -NUDGE], hull)
+        kernel._checked_weights(*integer_row([-NUDGE, 1 + 2 * NUDGE, -NUDGE]), hull)
 
 
 def test_checked_separator_rejects_nonstrict_separator(monkeypatch):
@@ -477,8 +486,8 @@ def test_checked_separator_rejects_nonstrict_separator(monkeypatch):
     original = kernel._phase1_duals
 
     def nudged(*args):
-        duals = original(*args)
-        return [duals[0] + NUDGE * duals[1]] + duals[1:]
+        duals = _as_rationals(*original(*args))
+        return integer_row([duals[0] + NUDGE * duals[1]] + duals[1:])
 
     monkeypatch.setattr(kernel, "_phase1_duals", nudged)
     with pytest.raises(LPInternalError, match="strictness"):
@@ -495,12 +504,12 @@ def test_verify_zero_mass_rejects_nudged_certificates():
     points, target, counts = _zero_mass_case()
     (y1, y2), y0 = hull_zero_mass(points, target, counts).certificate
     hull = kernel._hull_input(points, target)
-    kernel._verify_zero_mass(((y1, y2), y0), hull, counts, {0})
+    kernel._verify_zero_mass(*integer_row([y1, y2, y0]), hull, counts, {0})
     with pytest.raises(LPInternalError, match="nonzero value"):
-        kernel._verify_zero_mass(((y1, y2), y0 + NUDGE), hull, counts, {0})
+        kernel._verify_zero_mass(*integer_row([y1, y2, y0 + NUDGE]), hull, counts, {0})
     # the value y.p + y0 stays 0, but y.q + y0 drops below 1 at (0, 0)
     with pytest.raises(LPInternalError, match="dual feasibility"):
-        kernel._verify_zero_mass(((y1, y2 + NUDGE), y0 - NUDGE), hull, counts, {0})
+        kernel._verify_zero_mass(*integer_row([y1, y2 + NUDGE, y0 - NUDGE]), hull, counts, {0})
 
 
 def test_checked_projection_rejects_a_point_that_is_not_the_projection():
