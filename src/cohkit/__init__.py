@@ -18,8 +18,6 @@ from .coherence import (
     check_hull,
     dutch_book,
     extension_bounds,
-    penalty_loss,
-    random_gain,
 )
 from .compound import (
     ConditionalRandomQuantity,
@@ -44,7 +42,6 @@ from .events import (
     Formula,
     TOP,
     Universe,
-    enumerate_constituents,
     eval_formula,
     implies,
     parse_formula,

@@ -15,8 +15,7 @@ endpoint LPs per round (see _extension_interval).
 
 The same machinery accepts generalized members given as disjoint
 (value, world bitset) levels, void elsewhere, which is how conditional
-random quantities from cohkit.compound are checked, or as per-world
-numeric values with voids.
+random quantities from cohkit.compound are checked.
 """
 
 from __future__ import annotations
@@ -24,16 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .events import (
-    Constituent,
-    SIG_FALSE,
-    SIG_TRUE,
-    Universe,
-    bitset,
-    conditional_sets,
-    refine,
-    set_bits,
-)
+from .events import Universe, conditional_sets, refine
 from .lp import (
     HullOutside,
     IntHull,
@@ -102,34 +92,11 @@ class DutchBook:
     gains: tuple  # (constituent index, gain) over the subfamily's constituents
 
 
-def world_values(ce: ConditionalEvent, universe: Universe) -> tuple:
-    """Per-world indicator values of a conditional event; None when void."""
-    true, false, _void = conditional_sets(ce, universe)
-    out = [None] * len(universe)
-    for value, bits in ((ONE, true), (ZERO, false)):
-        for pos in set_bits(bits):
-            out[pos] = value
-    return tuple(out)
-
-
 def world_levels(ce: ConditionalEvent, universe: Universe) -> tuple:
     """(value, world bitset) levels of a conditional event: one where it
     is true, zero where it is false; void elsewhere."""
     true, false, _void = conditional_sets(ce, universe)
     return ((ONE, true), (ZERO, false))
-
-
-def value_levels(member: Sequence) -> tuple:
-    """(value, world bitset) levels of per-world values (None where
-    void).  Worlds are grouped by the identity of their value, which
-    hashes machine integers instead of rationals; MemberTable merges
-    levels of equal value."""
-    positions: dict = {}
-    for pos, value in enumerate(member):
-        if value is not None:
-            positions.setdefault(id(value), (value, []))[1].append(pos)
-    width = len(member)
-    return tuple((value, bitset(at, width)) for value, at in positions.values())
 
 
 def _ranked(levels) -> tuple:
@@ -278,28 +245,10 @@ class MemberTable:
         return hull_zero_mass_ints(self.int_hull(subset, ranks), effective)
 
 
-def _world_table(members, values) -> MemberTable:
-    """The table of generalized members given as per-world values."""
-    members = [tuple(m) for m in members]
-    num_worlds = len(members[0]) if members else 0
-    table = MemberTable([value_levels(m) for m in members], values, num_worlds)
-    if any(len(m) != num_worlds for m in members):
-        raise CoherenceError("member world counts differ")
-    return table
-
-
-def check_coherence_members(members, values) -> CoherenceVerdict:
-    """Gilio's iterative check over generalized members, given as
-    per-world values (None when void).
-
-    Each round tests the current subfamily and continues with its
-    zero-antecedent-mass members; an incoherent verdict reports the
-    support of the separating stakes within the failing round, on which
-    they are a Dutch book."""
-    return _gilio_check(_world_table(members, values))
-
-
 def _gilio_check(table: MemberTable, assessment=None, universe=None) -> CoherenceVerdict:
+    """Gilio's check (see check_coherence) on the members of a table:
+    each round tests the current subfamily and continues with its
+    zero-antecedent-mass members."""
     held = {"assessment": assessment, "universe": universe, "_table": table}
     subset = tuple(range(len(table.members)))
     rounds = []
@@ -343,8 +292,10 @@ def check_hull(assessment: Assessment, universe: Universe):
 def check_coherence(assessment: Assessment, universe: Universe) -> CoherenceVerdict:
     """Gilio's iterative hull test: at most one round per member, each a
     hull LP on the current subfamily plus the LPs that find its
-    zero-antecedent-mass members (see check_coherence_members).  The
-    verdict is the handle that the witnesses and extensions take."""
+    zero-antecedent-mass members.  An incoherent verdict reports the
+    support of the separating stakes within the failing round, on which
+    they are a Dutch book.  The verdict is the handle that the witnesses
+    and extensions take."""
     return _gilio_check(_member_table(assessment, universe), assessment, universe)
 
 
@@ -353,36 +304,6 @@ def _checked_table(verdict: CoherenceVerdict) -> MemberTable:
     if verdict.assessment is None:
         raise CoherenceError("not a check_coherence verdict on an assessment")
     return verdict._table
-
-
-def random_gain(assessment: Assessment, stakes: Sequence, constituent: Constituent):
-    """Bettor's gain on one constituent for the given stakes: on every
-    effective member, the stake times 1 - p where it is true and minus
-    the stake times p where it is false."""
-    if len(stakes) != len(assessment.family):
-        raise CoherenceError("one stake per family member required")
-    total = ZERO
-    for s, p, code in zip(stakes, assessment.values, constituent.signature):
-        if code == SIG_TRUE:
-            total += rat(s) * (1 - p)
-        elif code == SIG_FALSE:
-            total -= rat(s) * p
-    return total
-
-
-def penalty_loss(assessment: Assessment, constituent: Constituent):
-    """Quadratic penalty on one constituent: sum over effective bets of
-    (indicator - value)^2."""
-    total = rat(0)
-    for i, code in enumerate(constituent.signature):
-        if code == SIG_TRUE:
-            d = 1 - assessment.values[i]
-        elif code == SIG_FALSE:
-            d = assessment.values[i]
-        else:
-            continue
-        total += d * d
-    return total
 
 
 def dutch_book(verdict: CoherenceVerdict) -> Optional[DutchBook]:
@@ -593,12 +514,3 @@ def extension_bounds(
     exposing numeric_levels).  The endpoints are exact; tolerance is
     accepted for older callers and ignored."""
     return ExtensionProblem(check_coherence(assessment, universe), target).bounds()
-
-
-def extension_bounds_members(members, values, target) -> ExtensionBounds:
-    """extension_bounds over generalized members: per-world values of the
-    base members and of the target (None when void), and the base's
-    values, which must be coherent."""
-    if not check_coherence_members(members, values).coherent:
-        raise CoherenceError("base assessment is incoherent")
-    return _extension_interval(_world_table(list(members) + [tuple(target)], list(values) + [ZERO]))

@@ -29,7 +29,7 @@ from .coherence import (
     _gilio_check,
     check_coherence,
 )
-from .events import Formula, Or, Universe, conditional_sets, refine, set_bits
+from .events import TOP, And, Atom, Formula, Or, Universe, conditional_sets, refine, set_bits
 from .rationals import ONE, ZERO, rat
 from .trivalent import ConditionalEvent, negate, _pair_region_universes, _A, _H, _B, _K
 
@@ -106,10 +106,6 @@ class LinForm:
         return " + ".join(parts) if parts else "0"
 
 
-def _lf(value) -> LinForm:
-    return LinForm.of(value)
-
-
 # -- conditional random quantities -------------------------------------------
 
 @dataclass(frozen=True)
@@ -144,31 +140,14 @@ class ConditionalRandomQuantity:
             raise CompoundError("universe mismatch")
         return tuple((f.constant_value(), bits) for f, bits in self.levels)
 
-    @property
-    def world_forms(self) -> tuple:
-        """One LinForm per world, None where void (a per-world view)."""
-        return _per_world(self.levels, len(self.universe))
-
-    def world_values(self, universe: Universe) -> tuple:
-        """Numeric per-world values, None where void (a per-world view)."""
-        return _per_world(self.numeric_levels(universe), len(universe))
-
-
-def _per_world(levels, width: int) -> tuple:
-    out: list = [None] * width
-    for value, bits in levels:
-        for pos in set_bits(bits):
-            out[pos] = value
-    return tuple(out)
-
 
 def event_quantity(
     ce: ConditionalEvent, universe: Universe, probability
 ) -> ConditionalRandomQuantity:
     """A conditional event as a random quantity: 1, 0, or its probability."""
-    prob = _lf(probability)
+    prob = LinForm.of(probability)
     true, false, _void = conditional_sets(ce, universe)
-    levels = ((_lf(1), true), (_lf(0), false))
+    levels = ((LinForm.of(1), true), (LinForm.of(0), false))
     name = prob.terms[0][0] if (prob.const == 0 and len(prob.terms) == 1) else "p"
     return ConditionalRandomQuantity(universe, ce.antecedent, levels, name)
 
@@ -181,7 +160,7 @@ def _compound_quantity(family, universe, prevs, conjunction: bool, self_name):
     for ce in family[1:]:
         conditioning = Or(conditioning, ce.antecedent)
     return ConditionalRandomQuantity(
-        universe, conditioning, tuple((_lf(v), bits) for v, bits in levels), self_name
+        universe, conditioning, tuple((LinForm.of(v), bits) for v, bits in levels), self_name
     )
 
 
@@ -441,13 +420,11 @@ def inclusion_exclusion(previsions: Mapping, n: int):
 
 def chain_family(events: Sequence[Formula]) -> tuple:
     """E1, E2|E1, E3|E1&E2, ... as conditional events."""
-    from .events import TOP, And as FAnd
-
     out = []
     antecedent: Formula = TOP
     for e in events:
         out.append(ConditionalEvent(e, antecedent))
-        antecedent = e if antecedent is TOP else FAnd(antecedent, e)
+        antecedent = e if antecedent is TOP else And(antecedent, e)
     return tuple(out)
 
 
@@ -602,17 +579,13 @@ def _sum_quantity(q1, q2, conditioning, self_symbol):
     return ConditionalRandomQuantity(q1.universe, conditioning, tuple(levels), self_symbol)
 
 
-def _event_forms(ce, universe, prob) -> ConditionalRandomQuantity:
-    return event_quantity(ce, universe, prob)
-
-
 def _check_p2b() -> bool:
     u = Universe(("A", "H", "K"))
     ah = ConditionalEvent(_A, _H)
     kk = ConditionalEvent(_K, _K)
     x = LinForm.symbol("x")
     conj = gs_and(ah, kk, x, ONE, u, self_name="z", check=False)
-    target = _event_forms(ah, u, x)
+    target = event_quantity(ah, u, x)
     # wherever exactly one side is void its value must match the other's
     # worth x; on the common void part the prevision equation z = x holds
     # by the comparison convention
@@ -640,7 +613,7 @@ def _check_p2a() -> bool:
     # the two compounds share the conditioning H|K-or, so the sum is a
     # quantity on the same conditioning; its own prevision must be x
     total = _sum_quantity(conj1, conj2, conj1.conditioning, "x")
-    target = _event_forms(ah, u, x)
+    target = event_quantity(ah, u, x)
     return _forms_equal_modulo_void(total, target, x)
 
 
@@ -650,7 +623,7 @@ def _check_p2c() -> bool:
     y = LinForm.symbol("y")
     both = gs_or(bk, negate(bk), y, 1 - y, u, self_name="w", check=False)
     both = both.substitute({"w": ONE})
-    kk = _event_forms(ConditionalEvent(_K, _K), u, ONE)
+    kk = event_quantity(ConditionalEvent(_K, _K), u, ONE)
     return _forms_equal(both, kk) and _check_p2b() and _check_p2a()
 
 
@@ -665,7 +638,7 @@ def _check_p3() -> bool:
     conj = gs_and(negate(ah), bk, 1 - x, y, u, self_name="zneg", check=False)
     rhs_levels = tuple(
         ((x if a is None else a) + (zneg if b is None else b), bits)
-        for a, b, bits in _joint_classes(_event_forms(ah, u, x), conj)
+        for a, b, bits in _joint_classes(event_quantity(ah, u, x), conj)
         if a is not None or b is not None
     )
     rhs = ConditionalRandomQuantity(u, disj.conditioning, rhs_levels, "w")
@@ -674,15 +647,13 @@ def _check_p3() -> bool:
 
 def _check_chain() -> bool:
     u = Universe(("E", "H", "K"))
-    from .events import Atom
-
     e, h, k = Atom("E"), Atom("H"), Atom("K")
     inner = ConditionalEvent(e, h & k)
     outer = ConditionalEvent(h, k)
     x = LinForm.symbol("x")
     y = LinForm.symbol("y")
     conj = gs_and(inner, outer, x, y, u, self_name="z", check=False)
-    target = _event_forms(ConditionalEvent(e & h, k), u, LinForm.symbol("z"))
+    target = event_quantity(ConditionalEvent(e & h, k), u, LinForm.symbol("z"))
     if not _forms_equal_modulo_void(conj, target, LinForm.symbol("z")):
         return False
     # prevision collapse: the only coherent target value is x * y
@@ -734,7 +705,7 @@ def _check_p1() -> bool:
         if forced_y is not None:
             subs["y"] = forced_y
         conj = gs_and(ah, bk, x, y, u, self_name="z", check=False).substitute(subs)
-        target = _event_forms(ah, u, x.substitute(subs))
+        target = event_quantity(ah, u, x.substitute(subs))
         equal = _forms_equal_modulo_void(conj, target, x.substitute(subs))
         gn = (t1 & ~t2 == 0) and (f2 & ~f1 == 0)
         leq = gn or t1 == 0 or f2 == 0

@@ -1,11 +1,13 @@
-"""Boolean event algebra: formulas, constrained worlds, constituents.
+"""Boolean event algebra: formulas, constrained worlds, world partitions.
 
 Events are boolean formulas over named atoms.  A Universe fixes the atom
 list (at most 16) and an optional set of logical constraints; worlds are
 the surviving 0/1 assignments, represented as bitmasks, and every formula
-evaluates to a bitset over the world list.  Constituents of a family of
-conditional events are the nonempty joint truth-pattern classes, ordered
-lexicographically with true < false < void per member.
+evaluates to a bitset over the world list.  A conditional event splits
+the worlds into its true, false and void sets (conditional_sets), and
+refine partitions a world bitset by the levels of a family of members;
+the constituents of a family are the classes of that partition, which
+cohkit.coherence.MemberTable groups and orders.
 """
 
 from __future__ import annotations
@@ -13,14 +15,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import compress, count
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 MAX_ATOMS = 16
-
-# signature codes per family member inside a constituent
-SIG_TRUE = 0
-SIG_FALSE = 1
-SIG_VOID = 2
 
 
 class EventError(Exception):
@@ -276,14 +273,6 @@ def set_bits(bits: int) -> list:
     return list(compress(count(), _flags(bits, bits.bit_length())))
 
 
-def bitset(positions: Iterable[int], width: int) -> int:
-    """Bitset over width positions with the given positions set."""
-    flags = bytearray(width)
-    for pos in positions:
-        flags[pos] = 1
-    return _from_flags(flags)
-
-
 def _cube_atom_sets(k: int) -> list:
     """Bitset of each atom over the 2^k masks: bit m is set when mask m
     sets the atom's bit, that is 2^i zeros then 2^i ones, repeated by
@@ -370,34 +359,6 @@ def implies(f: Formula, g: Formula, universe: Universe) -> bool:
     return universe.world_set(f) & ~universe.world_set(g) & universe.all_set == 0
 
 
-def equivalent(f: Formula, g: Formula, universe: Universe) -> bool:
-    return universe.world_set(f) == universe.world_set(g)
-
-
-@dataclass(frozen=True)
-class Constituent:
-    """One joint truth-pattern class of a family of conditional events."""
-
-    index: int
-    world_bits: int
-    signature: tuple
-    is_c0: bool
-
-    def worlds(self, universe: Universe) -> list:
-        return [universe.assignment(pos) for pos in set_bits(self.world_bits)]
-
-
-@dataclass(frozen=True)
-class ConstituentTable:
-    universe: Universe
-    family: tuple
-    constituents: tuple  # C_1 .. C_m, lexicographic on signatures
-    c0: Optional[Constituent]
-
-    def all_constituents(self) -> tuple:
-        return self.constituents + ((self.c0,) if self.c0 is not None else ())
-
-
 def conditional_sets(member, universe: Universe) -> tuple:
     """(true, false, void) world bitsets of a conditional event.
 
@@ -440,32 +401,3 @@ def refine(block: int, members: Sequence[tuple]) -> dict:
                 split[pattern + (void,)] = bits
         classes = split
     return classes
-
-
-def enumerate_constituents(family: Sequence, universe: Universe) -> ConstituentTable:
-    """Constituents generated by a family of conditional events.
-
-    Members need .consequent/.antecedent attributes.  Truth-pattern
-    classes with identical world sets are merged by construction; the
-    all-void class, when nonempty, is returned separately as C_0.
-    """
-    if not family:
-        raise EventError("empty family")
-    members = []
-    for m in family:
-        true, false, _void = conditional_sets(m, universe)
-        members.append((((SIG_TRUE, true), (SIG_FALSE, false)), SIG_VOID))
-    groups = refine(universe.all_set, members)
-
-    all_void = tuple([SIG_VOID] * len(family))
-    c0 = None
-    ordered = []
-    for sig in sorted(groups):
-        if sig == all_void:
-            c0 = Constituent(0, groups[sig], sig, True)
-        else:
-            ordered.append((sig, groups[sig]))
-    constituents = tuple(
-        Constituent(i + 1, bits, sig, False) for i, (sig, bits) in enumerate(ordered)
-    )
-    return ConstituentTable(universe, tuple(family), constituents, c0)

@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .coherence import Assessment, ExtensionBounds, ExtensionProblem, check_coherence
+from .coherence import (
+    Assessment,
+    ExtensionBounds,
+    ExtensionProblem,
+    MemberTable,
+    check_coherence,
+    world_levels,
+)
 from .compound import (
     frechet_bounds,
     frechet_bounds_or,
@@ -254,8 +261,6 @@ def _p4_star(logic: str, interval_rows) -> StarCell:
 def _p5_gs_pointwise(x, y, universe) -> bool:
     """Every constituent satisfies conj + disj = first + second, which
     pins the disjunction prevision to x + y - z for every coherent z."""
-    from .coherence import MemberTable, world_levels
-
     ah = ConditionalEvent(_A, _H)
     bk = ConditionalEvent(_B, _K)
     conj = gs_and(ah, bk, x, y, universe, check=False)

@@ -15,9 +15,6 @@ from enum import Enum
 from typing import Mapping, Optional
 
 from .events import (
-    SIG_FALSE,
-    SIG_TRUE,
-    SIG_VOID,
     And,
     Atom,
     EventError,
@@ -35,12 +32,6 @@ class TriValue(Enum):
     FALSE = "false"
     VOID = "void"
 
-
-SIGNATURE_VALUES = {
-    SIG_TRUE: TriValue.TRUE,
-    SIG_FALSE: TriValue.FALSE,
-    SIG_VOID: TriValue.VOID,
-}
 
 KINDS = ("K", "L", "B", "S")
 

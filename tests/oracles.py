@@ -22,7 +22,10 @@ The per-world scans are how cohkit built its worlds, constituents,
 member patterns and compound values before it refined world bitsets:
 every world assignment is evaluated one by one with eval_formula.  The
 compound forms are the signature case analysis cohkit ran over the
-constituents before its compounds were held as levels.
+constituents before its compounds were held as levels.  The gain and
+penalty of a constituent signature are the paper's definitions, which
+cohkit evaluated one constituent at a time before its witnesses read
+member patterns.
 
 The joint-system oracle is how cohkit decided the conjunction-absorption
 characterization of p-entailment before it read the target's coherent
@@ -46,18 +49,14 @@ import itertools
 from fractions import Fraction
 
 from cohkit.compound import LinForm, _system_coherent
-from cohkit.events import (
-    SIG_FALSE,
-    SIG_TRUE,
-    SIG_VOID,
-    conditional_sets,
-    enumerate_constituents,
-    eval_formula,
-)
+from cohkit.events import conditional_sets, eval_formula
 from cohkit.lp import HullOutside, hull_membership
 from cohkit.rationals import ONE, ZERO, rat
 
 LE, EQ, GE = "<=", "=", ">="
+
+# per-member codes of a constituent signature, in constituent order
+SIG_TRUE, SIG_FALSE, SIG_VOID = 0, 1, 2
 
 
 def _solve_square(rows, rhs):
@@ -175,6 +174,17 @@ def formula_bits(f, universe):
     )
 
 
+def expand(levels, width):
+    """Per-world values of disjoint (value, bitset) levels, None elsewhere."""
+    out = [None] * width
+    for value, bits in levels:
+        for pos in range(width):
+            if bits >> pos & 1:
+                assert out[pos] is None
+                out[pos] = value
+    return tuple(out)
+
+
 def world_signatures(family, universe):
     """Sorted (signature, world bitset) classes of a family of
     conditional events, the all-void one included, by a per-world scan."""
@@ -193,6 +203,26 @@ def world_signatures(family, universe):
         key = tuple(sig)
         groups[key] = groups.get(key, 0) | bit
     return sorted(groups.items())
+
+
+def constituent_signatures(family, universe):
+    """Signatures of the constituents C_1 .. C_m of a family of
+    conditional events, in order, the all-void class C_0 left out."""
+    void = (SIG_VOID,) * len(family)
+    return [sig for sig, _bits in world_signatures(family, universe) if sig != void]
+
+
+def gain_and_penalty(signature, values, stakes=None):
+    """(gain, penalty) of values p on one constituent signature: the sums
+    over its effective members of s_i (e_i - p_i) for the stakes s (zero
+    if none) and of (e_i - p_i)^2, e_i being 1 where true, 0 where false."""
+    gain = penalty = ZERO
+    for i, code in enumerate(signature):
+        if code != SIG_VOID:
+            d = (ONE if code == SIG_TRUE else ZERO) - rat(values[i])
+            gain += (ZERO if stakes is None else rat(stakes[i])) * d
+            penalty += d * d
+    return gain, penalty
 
 
 def compound_world_values(family, universe, prevs, subset, conjunction):
@@ -228,9 +258,10 @@ def compound_world_forms(family, universe, prevs, conjunction):
     gives the other value, and a partial void set takes its prevision.
     For two members, prevs {0}: x and {1}: y give the binary compound."""
     forms = [None] * len(universe)
-    for constituent in enumerate_constituents(family, universe).constituents:
-        sig = constituent.signature
+    for sig, bits in world_signatures(family, universe):
         voids = frozenset(i for i, code in enumerate(sig) if code == SIG_VOID)
+        if len(voids) == len(sig):
+            continue
         if conjunction:
             if SIG_FALSE in sig:
                 value = LinForm.of(0)
@@ -246,7 +277,7 @@ def compound_world_forms(family, universe, prevs, conjunction):
             else:
                 value = LinForm.of(prevs[voids])
         for pos in range(len(universe)):
-            if constituent.world_bits >> pos & 1:
+            if bits >> pos & 1:
                 forms[pos] = value
     return tuple(forms)
 

@@ -16,8 +16,6 @@ from cohkit.coherence import (
     check_hull,
     dutch_book,
     extension_bounds,
-    penalty_loss,
-    random_gain,
 )
 from cohkit.compound import (
     chain_family,
@@ -35,8 +33,8 @@ from cohkit.compound import (
     prevision_from_distribution,
     sum_rule_check,
 )
-from cohkit.coherence import check_coherence_members, world_values
-from cohkit.events import Atom, TOP, Universe, enumerate_constituents
+from cohkit.coherence import MemberTable, _gilio_check, world_levels
+from cohkit.events import Atom, TOP, Universe
 from cohkit.fileio import parse_assessment_file
 from cohkit.lp import HullInside
 from cohkit.rationals import ONE, ZERO, rat
@@ -47,6 +45,8 @@ from cohkit.tables import (
     compute_star_table,
 )
 from cohkit.trivalent import ConditionalEvent, free_universe
+
+from oracles import constituent_signatures, expand, gain_and_penalty
 
 DATA = Path(__file__).parent / "data"
 
@@ -83,8 +83,8 @@ def test_criterion_1_additive_triple_reproduction(capsys):
     assessment = Assessment.build(doc.assessed_events(), doc.assessed_values())
     verdict = check_coherence(assessment, doc.universe)
     assert not verdict.coherent
-    table = enumerate_constituents(assessment.family, doc.universe)
-    gains = [random_gain(assessment, [1, 1, -1], c) for c in table.constituents]
+    sigs = constituent_signatures(assessment.family, doc.universe)
+    gains = [gain_and_penalty(sig, assessment.values, [1, 1, -1])[0] for sig in sigs]
     assert gains == [rat(11, 10), rat(1, 10), rat(1, 10), rat(1, 10)]
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
@@ -213,17 +213,17 @@ def test_criterion_6_compound_identities(capsys):
         assert sum_rule_check(x, y, z, w)
         conj = gs_and(AH, BK, x, y, u, check=False)
         disj = gs_or(AH, BK, x, y, u, check=False)
-        members = [
-            world_values(AH, u),
-            world_values(BK, u),
-            conj.world_values(u),
-            disj.world_values(u),
+        levels = [
+            world_levels(AH, u),
+            world_levels(BK, u),
+            conj.numeric_levels(u),
+            disj.numeric_levels(u),
         ]
-        assert check_coherence_members(members, [x, y, z, w]).coherent
+        assert _gilio_check(MemberTable(levels, [x, y, z, w], len(u))).coherent
         # absorbing a sure conditional: values collapse onto the operand
         sure = gs_and(AH, ConditionalEvent(K, K), x, ONE, u, check=False)
-        operand = world_values(AH, u)
-        for pos, form in enumerate(sure.world_forms):
+        operand = expand(world_levels(AH, u), len(u))
+        for pos, form in enumerate(expand(sure.levels, len(u))):
             got = None if form is None else form.constant_value()
             want = operand[pos]
             if got is None or want is None:
@@ -232,11 +232,11 @@ def test_criterion_6_compound_identities(capsys):
             else:
                 assert got == want
         # disjunction decomposes as operand plus complementary conjunction
-        other = gs_and(
-            ConditionalEvent(~A, H), BK, 1 - x, y, u, check=False
-        ).world_values(u)
+        other = gs_and(ConditionalEvent(~A, H), BK, 1 - x, y, u, check=False)
+        other = expand(other.numeric_levels(u), len(u))
+        disj_values = expand(disj.numeric_levels(u), len(u))
         for pos in range(len(u)):
-            d = disj.world_values(u)[pos]
+            d = disj_values[pos]
             a_val = operand[pos]
             o_val = other[pos]
             if d is None:
@@ -254,7 +254,7 @@ def test_criterion_6_compound_identities(capsys):
         mu = [m / total for m in mu]
         prevs = mu_previsions(chain, mu, u3)
         conj_chain = gs_and_n(chain, prevs, u3, check=False)
-        for form, world in zip(conj_chain.world_forms, u3.assignments()):
+        for form, world in zip(expand(conj_chain.levels, len(u3)), u3.assignments()):
             expected = ONE if (world["E1"] and world["E2"] and world["E3"]) else ZERO
             assert form.constant_value() == expected
         product = prevs[frozenset([0])]
@@ -443,15 +443,13 @@ def test_criterion_9_criterion_equivalence(capsys):
             [assessment.family[i] for i in book.subfamily],
             [assessment.values[i] for i in book.subfamily],
         )
-        table = enumerate_constituents(sub.family, u)
-        gains = [random_gain(sub, book.stakes, c) for c in table.constituents]
+        sigs = constituent_signatures(sub.family, u)
+        gains = [gain_and_penalty(sig, sub.values, book.stakes)[0] for sig in sigs]
         assert min(gains) == book.margin and book.margin > 0
         # the dominator never loses more and wins somewhere
-        better = Assessment.build(assessment.family, dominator)
-        full_table = enumerate_constituents(assessment.family, u)
         diffs = [
-            penalty_loss(assessment, c) - penalty_loss(better, c)
-            for c in full_table.constituents
+            gain_and_penalty(sig, assessment.values)[1] - gain_and_penalty(sig, dominator)[1]
+            for sig in constituent_signatures(assessment.family, u)
         ]
         assert all(d >= 0 for d in diffs) and any(d > 0 for d in diffs)
     assert incoherent_count == 50

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from cohkit.coherence import MemberTable, value_levels, world_levels, world_values
+from cohkit.coherence import MemberTable, world_levels
 from cohkit.compound import _compound_levels
 from cohkit.events import (
     And,
@@ -19,18 +19,12 @@ from cohkit.events import (
     Or,
     TOP,
     Universe,
-    enumerate_constituents,
 )
 from cohkit.rationals import rat
 from cohkit.trivalent import ConditionalEvent
 
-from oracles import (
-    compound_world_values,
-    formula_bits,
-    subfamily_patterns,
-    world_filter,
-    world_signatures,
-)
+from oracles import SIG_FALSE, SIG_TRUE, SIG_VOID, compound_world_values, constituent_signatures
+from oracles import expand, formula_bits, subfamily_patterns, world_filter
 
 NAMES = ("A", "B", "C", "D", "E", "F")
 
@@ -58,17 +52,6 @@ def settings_on_atoms(draw):
     return atoms, constraints, family, draw(fs)
 
 
-def expand(levels, width):
-    """Per-world values of disjoint (value, bitset) levels, None elsewhere."""
-    out = [None] * width
-    for value, bits in levels:
-        for pos in range(width):
-            if bits >> pos & 1:
-                assert out[pos] is None
-                out[pos] = value
-    return tuple(out)
-
-
 @settings(max_examples=80, deadline=None)
 @given(settings_on_atoms(), st.randoms(use_true_random=False))
 def test_bitsets_agree_with_per_world_scans(setting, rng):
@@ -84,16 +67,16 @@ def test_bitsets_agree_with_per_world_scans(setting, rng):
     assert u.world_set(formula) == formula_bits(formula, u)
 
     try:
-        table = enumerate_constituents(family, u)
+        levels = MemberTable([world_levels(ce, u) for ce in family], [0] * len(family), len(u))
     except EmptyConditioningError:
+        assert not all(u.satisfiable(ce.antecedent) for ce in family)
         return
-    # the all-void signature sorts last, where C_0 is listed
-    classes = [(c.signature, c.world_bits) for c in table.all_constituents()]
-    assert classes == world_signatures(family, u)
-    assert [c.index for c in table.constituents] == list(range(1, len(table.constituents) + 1))
-
-    members = [world_values(ce, u) for ce in family]
-    levels = MemberTable([world_levels(ce, u) for ce in family], [0] * len(family), len(u))
+    # the full family's patterns are its constituents C_1 .. C_m in order
+    entry = {SIG_TRUE: 1, SIG_FALSE: 0, SIG_VOID: None}
+    assert list(levels.patterns(tuple(range(len(family))))) == [
+        tuple(entry[code] for code in sig) for sig in constituent_signatures(family, u)
+    ]
+    members = [expand(world_levels(ce, u), len(u)) for ce in family]
     for size in range(1, len(family) + 1):
         for subset in itertools.combinations(range(len(family)), size):
             assert list(levels.patterns(subset)) == subfamily_patterns(members, subset)
@@ -126,7 +109,9 @@ def test_patterns_follow_the_value_order():
                     for _ in range(num_worlds)
                 )
             )
-        table = MemberTable([value_levels(m) for m in members], [0] * len(members), num_worlds)
+        # one level per world, equal values held by distinct objects
+        levels = [[(v, 1 << pos) for pos, v in enumerate(m) if v is not None] for m in members]
+        table = MemberTable(levels, [0] * len(members), num_worlds)
         for size in range(len(members) + 1):
             for subset in itertools.combinations(range(len(members)), size):
                 assert list(table.patterns(subset)) == subfamily_patterns(members, subset)

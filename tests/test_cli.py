@@ -127,17 +127,16 @@ def test_entails_on_sixteen_atoms_without_per_world_evaluation(monkeypatch):
 
 def test_compound_bounds_on_sixteen_atoms_without_per_world_values(monkeypatch):
     """The 16-atom widening of free_pair.coh (12 idle atoms) gives the gs
-    conjunction's interval with the quantity's per-world views disabled,
-    so the target reaches the extension LPs as levels."""
+    conjunction's interval with the compound module's world-by-world
+    reading of bitsets disabled, so the target reaches the extension LPs
+    as levels."""
 
     def refuse(*_args):
-        raise AssertionError("per-world view used")
+        raise AssertionError("per-world reading used")
 
     argv = ("--op", "gs", "--kind", "and")
     _code, narrow = run_cli("bounds", str(DATA / "free_pair.coh"), *argv)
-    quantity = cohkit.compound.ConditionalRandomQuantity
-    monkeypatch.setattr(quantity, "world_forms", property(refuse))
-    monkeypatch.setattr(quantity, "world_values", refuse)
+    monkeypatch.setattr(cohkit.compound, "set_bits", refuse)
     code, wide = run_cli("bounds", str(DATA / "pair_wide.coh"), *argv)
     assert code == 0
     assert parse_report(wide).get("interval") == parse_report(narrow).get("interval")

@@ -14,24 +14,22 @@ from cohkit.coherence import (
     FamilyCapError,
     MAX_FAMILY,
     MemberTable,
+    _gilio_check,
     brier_dominator,
     check_coherence,
-    check_coherence_members,
     check_hull,
     dutch_book,
     extension_bounds,
-    penalty_loss,
-    random_gain,
     world_levels,
-    world_values,
 )
-from cohkit.events import Atom, TOP, Universe, enumerate_constituents
+from cohkit.events import Atom, TOP, Universe
 from cohkit.fileio import parse_assessment_file
 from cohkit.lp import HullInside, HullOutside, linear_range
 from cohkit.rationals import rat
 from cohkit.trivalent import ConditionalEvent, free_universe
 
-from oracles import bisection_brackets, extension_oracle, subfamily_points
+from oracles import SIG_TRUE, SIG_VOID, bisection_brackets, constituent_signatures, expand
+from oracles import extension_oracle, gain_and_penalty, subfamily_points, world_signatures
 from test_differential import incoherent_event_families
 
 DATA = Path(__file__).parent / "data"
@@ -82,36 +80,34 @@ def test_additive_triple_is_incoherent(additive_triple):
 
 def test_gains_at_unit_stakes(additive_triple):
     u, assessment = additive_triple
-    table = enumerate_constituents(assessment.family, u)
-    gains = [random_gain(assessment, [1, 1, -1], c) for c in table.constituents]
+    sigs = constituent_signatures(assessment.family, u)
+    gains = [gain_and_penalty(sig, assessment.values, [1, 1, -1])[0] for sig in sigs]
     assert gains == [rat(11, 10), rat(1, 10), rat(1, 10), rat(1, 10)]
-    zero = [random_gain(assessment, [0, 0, 0], c) for c in table.constituents]
+    zero = [gain_and_penalty(sig, assessment.values, [0, 0, 0])[0] for sig in sigs]
     assert zero == [0, 0, 0, 0]
 
 
 def test_gain_on_all_void_constituent_is_zero():
     u = free_universe()
     assessment = Assessment.build([AH, BK], [rat(1, 2), rat(1, 2)])
-    table = enumerate_constituents(assessment.family, u)
-    assert table.c0 is not None
-    assert random_gain(assessment, [rat(3), rat(-2)], table.c0) == 0
+    c0 = (SIG_VOID, SIG_VOID)
+    assert c0 in dict(world_signatures(assessment.family, u))
+    assert gain_and_penalty(c0, assessment.values, [rat(3), rat(-2)])[0] == 0
 
 
 def test_penalty_losses(additive_triple):
     u, assessment = additive_triple
-    table = enumerate_constituents(assessment.family, u)
-    losses = [penalty_loss(assessment, c) for c in table.constituents]
+    sigs = constituent_signatures(assessment.family, u)
+    losses = [gain_and_penalty(sig, assessment.values)[1] for sig in sigs]
     assert losses[0] == rat(89, 100)
     # perfect forecast scores zero
     sure = Assessment.build(unconditional(A), [rat(1)])
-    ua = Universe(["A"])
-    ta = enumerate_constituents(sure.family, ua)
-    on_a = next(c for c in ta.constituents if c.signature == (0,))
-    assert penalty_loss(sure, on_a) == 0
+    assert (SIG_TRUE,) in constituent_signatures(sure.family, Universe(["A"]))
+    assert gain_and_penalty((SIG_TRUE,), sure.values)[1] == 0
     # nothing at stake on the all-void constituent
     cond = Assessment.build([AH], [rat(1, 3)])
-    tc = enumerate_constituents(cond.family, free_universe())
-    assert penalty_loss(cond, tc.c0) == 0
+    assert (SIG_VOID,) in dict(world_signatures(cond.family, free_universe()))
+    assert gain_and_penalty((SIG_VOID,), cond.values)[1] == 0
 
 
 def test_dutch_book_positive_gains(additive_triple):
@@ -123,8 +119,8 @@ def test_dutch_book_positive_gains(additive_triple):
         [assessment.family[i] for i in book.subfamily],
         [assessment.values[i] for i in book.subfamily],
     )
-    table = enumerate_constituents(sub.family, u)
-    gains = [random_gain(sub, book.stakes, c) for c in table.constituents]
+    sigs = constituent_signatures(sub.family, u)
+    gains = [gain_and_penalty(sig, sub.values, book.stakes)[0] for sig in sigs]
     assert min(gains) == book.margin
     assert all(g > 0 for g in gains)
     assert max(abs(s) for s in book.stakes) == 1
@@ -141,7 +137,7 @@ SEEDED_INCOHERENT = incoherent_event_families(20190601, 16)
 def test_dutch_book_gains_are_the_random_gains(fixture, request):
     """The book's gains and the dominator's penalty reductions, read from
     the member patterns, against the paper's definitions over the
-    constituents of enumerate_constituents."""
+    constituents of the per-world scan."""
     if fixture.startswith("seeded-"):
         u, assessment = SEEDED_INCOHERENT[int(fixture.split("-")[1])]
     else:
@@ -151,15 +147,15 @@ def test_dutch_book_gains_are_the_random_gains(fixture, request):
         [assessment.family[i] for i in book.subfamily],
         [assessment.values[i] for i in book.subfamily],
     )
-    constituents = enumerate_constituents(sub.family, u).constituents
+    sigs = constituent_signatures(sub.family, u)
     assert book.gains == tuple(
-        (c.index, random_gain(sub, book.stakes, c)) for c in constituents
+        (k, gain_and_penalty(sig, sub.values, book.stakes)[0]) for k, sig in enumerate(sigs, 1)
     )
     assert book.margin == min(g for _index, g in book.gains)
-    better = Assessment.build(assessment.family, brier_dominator(check_coherence(assessment, u)))
+    better = brier_dominator(check_coherence(assessment, u))
     diffs = [
-        penalty_loss(assessment, c) - penalty_loss(better, c)
-        for c in enumerate_constituents(assessment.family, u).constituents
+        gain_and_penalty(sig, assessment.values)[1] - gain_and_penalty(sig, better)[1]
+        for sig in constituent_signatures(assessment.family, u)
     ]
     assert all(d >= 0 for d in diffs) and any(d > 0 for d in diffs)
 
@@ -216,7 +212,7 @@ def test_wide_coherent_family_takes_few_pivots(monkeypatch):
     verdict = check_coherence(assessment, u)
     assert verdict.coherent
     assert counts["pivots"] <= 100
-    members = [world_values(ce, u) for ce in assessment.family]
+    members = [expand(world_levels(ce, u), len(u)) for ce in assessment.family]
     points = subfamily_points(members, assessment.values, tuple(range(20)))
     weights = verdict.weights
     assert len(weights) == len(points) and min(weights) >= 0 and sum(weights) == 1
@@ -280,7 +276,7 @@ def test_member_table_scans_worlds_once(monkeypatch):
     u = free_universe()
     family = (AH, BK, ConditionalEvent(A & B, H | K))
     values = [rat(1, 2), rat(1, 3), rat(1, 4)]
-    members = [world_values(ce, u) for ce in family]
+    members = [expand(world_levels(ce, u), len(u)) for ce in family]
     table = MemberTable([world_levels(ce, u) for ce in family], values, len(u))
     subsets = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
     for subset in subsets:
@@ -335,8 +331,8 @@ def test_extension_problem_rejects_an_incoherent_verdict(additive_triple):
 
 def test_witnesses_take_only_assessment_verdicts(additive_triple):
     u, assessment = additive_triple
-    members = [world_values(ce, u) for ce in assessment.family]
-    verdict = check_coherence_members(members, assessment.values)
+    levels = [world_levels(ce, u) for ce in assessment.family]
+    verdict = _gilio_check(MemberTable(levels, assessment.values, len(u)))
     assert not verdict.coherent
     for operation in (dutch_book, brier_dominator):
         with pytest.raises(CoherenceError, match="check_coherence verdict"):
@@ -387,11 +383,9 @@ def test_brier_dominator_is_projection(additive_triple):
     dominator = brier_dominator(check_coherence(assessment, u))
     # exact Euclidean projection onto the face z = x + y
     assert dominator == (rat(13, 30), rat(1, 3), rat(23, 30))
-    table = enumerate_constituents(assessment.family, u)
-    better = Assessment.build(assessment.family, dominator)
     diffs = [
-        penalty_loss(assessment, c) - penalty_loss(better, c)
-        for c in table.constituents
+        gain_and_penalty(sig, assessment.values)[1] - gain_and_penalty(sig, dominator)[1]
+        for sig in constituent_signatures(assessment.family, u)
     ]
     assert all(d >= 0 for d in diffs) and any(d > 0 for d in diffs)
 
@@ -494,8 +488,8 @@ def test_gain_hull_link(additive_triple):
     u, assessment = additive_triple
     outcome = check_hull(assessment, u)
     assert isinstance(outcome, HullOutside)
-    table = enumerate_constituents(assessment.family, u)
-    gains = [random_gain(assessment, outcome.separator, c) for c in table.constituents]
+    sigs = constituent_signatures(assessment.family, u)
+    gains = [gain_and_penalty(sig, assessment.values, outcome.separator)[0] for sig in sigs]
     assert all(g > 0 for g in gains)
 
 
@@ -576,7 +570,7 @@ def test_exact_and_bisection_routes_agree():
     u = free_universe()
     tol = rat(1, 2**40)
     rng = random.Random(31)
-    members = [world_values(AH, u), world_values(BK, u)]
+    members = [expand(world_levels(ce, u), len(u)) for ce in (AH, BK)]
     for _ in range(6):
         x = rat(rng.randint(0, 8), 8)
         y = rat(rng.randint(0, 8), 8)
@@ -584,8 +578,8 @@ def test_exact_and_bisection_routes_agree():
         conj = gs_and(AH, BK, x, y, u, check=False)
         event = trivalent_and("S", AH, BK, u)
         for target, target_values in (
-            (conj, conj.world_values(u)),
-            (event, world_values(event, u)),
+            (conj, expand(conj.numeric_levels(u), len(u))),
+            (event, expand(world_levels(event, u), len(u))),
         ):
             bounds = extension_bounds(base, target, u)
             seed = (bounds.lower + bounds.upper) / 2
@@ -609,7 +603,7 @@ def test_extension_problem_pins_chain_product():
     assert not problem.coherent_at(x * y + rat(1, 97))
     bounds = problem.bounds()
     assert bounds.lower == bounds.upper == x * y
-    members = [world_values(ce, u) for ce in (inner, outer)]
-    coherent_at = extension_oracle(members, [x, y], world_values(target, u))
+    members = [expand(world_levels(ce, u), len(u)) for ce in (inner, outer)]
+    coherent_at = extension_oracle(members, [x, y], expand(world_levels(target, u), len(u)))
     lower, upper = bisection_brackets(coherent_at, x * y, rat(1, 2**20))
     assert lower[1] == upper[0] == x * y

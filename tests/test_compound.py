@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from cohkit.coherence import Assessment, ExtensionProblem, check_coherence, extension_bounds
+from cohkit.coherence import (
+    Assessment,
+    ExtensionProblem,
+    check_coherence,
+    extension_bounds,
+    world_levels,
+)
 from cohkit.compound import (
     CompoundError,
     IDENTITIES,
@@ -31,7 +37,7 @@ from cohkit.events import Atom, EventError, TOP, Universe
 from cohkit.rationals import ONE, ZERO, rat
 from cohkit.trivalent import ConditionalEvent, free_universe, negate
 
-from oracles import absorption_joint_oracle, compound_world_forms
+from oracles import absorption_joint_oracle, compound_world_forms, expand, world_signatures
 
 A, B, H, K, E = Atom("A"), Atom("B"), Atom("H"), Atom("K"), Atom("E")
 AH = ConditionalEvent(A, H)
@@ -46,8 +52,9 @@ def world_index(u, **assignment):
 
 
 def region_value(crq, u, predicate):
+    forms = expand(crq.levels, len(u))
     values = {
-        crq.world_forms[pos]
+        forms[pos]
         for pos in range(len(u))
         if predicate(u.assignment(pos))
     }
@@ -91,8 +98,9 @@ def test_gs_and_value_table():
     assert region_value(conj, u, lambda w: not w["H"] and w["B"] and w["K"]) == lf(x)
     assert region_value(conj, u, lambda w: not w["H"] and not w["B"] and w["K"]) == lf(0)
     # both void: worth its own prevision
+    forms = expand(conj.levels, len(u))
     assert all(
-        conj.world_forms[pos] is None
+        forms[pos] is None
         for pos in range(len(u))
         if not u.assignment(pos)["H"] and not u.assignment(pos)["K"]
     )
@@ -120,7 +128,7 @@ def test_gs_and_idempotent():
         else (ONE if w["A"] else ZERO)
         for w in u.assignments()
     ]
-    got = [None if f is None else f.constant_value() for f in conj.world_forms]
+    got = [None if f is None else f.constant_value() for f in expand(conj.levels, len(u))]
     assert got == indicator
 
 
@@ -170,7 +178,7 @@ def test_compounds_match_the_signature_oracle():
             for s in itertools.combinations(range(len(family)), size)
         }
         for build, conjunction in ((gs_and_n, True), (gs_or_n, False)):
-            got = build(family, prevs, u, check=False).world_forms
+            got = expand(build(family, prevs, u, check=False).levels, len(u))
             assert got == compound_world_forms(family, u, prevs, conjunction)
         if len(family) >= 2:
             pair = family[:2]
@@ -178,7 +186,7 @@ def test_compounds_match_the_signature_oracle():
             for x, y in (numeric, symbols):
                 pair_prevs = {frozenset([0]): x, frozenset([1]): y}
                 for build, conjunction in ((gs_and, True), (gs_or, False)):
-                    got = build(*pair, x, y, u, check=False).world_forms
+                    got = expand(build(*pair, x, y, u, check=False).levels, len(u))
                     assert got == compound_world_forms(pair, u, pair_prevs, conjunction)
         checked += 1
 
@@ -196,7 +204,7 @@ def test_quantity_rejects_a_universe_with_permuted_atoms():
     with pytest.raises(CompoundError):
         extension_bounds(base, conj, permuted)
     with pytest.raises(CompoundError):
-        conj.world_values(permuted)
+        conj.numeric_levels(permuted)
 
 
 def test_gs_rejects_incoherent_operands():
@@ -238,14 +246,11 @@ def test_prevision_concentrated_and_uniform():
     assert prevision_from_distribution(conj, mu) == 1
 
     # uniform over the eight effective constituent classes, x = y = 1/2
-    from cohkit.events import enumerate_constituents
-
-    table = enumerate_constituents([AH, BK], u)
     mu2 = [ZERO] * len(u)
-    for c in table.constituents:
-        size = bin(c.world_bits).count("1")
+    for _sig, bits in world_signatures([AH, BK], u)[:-1]:  # the all-void C_0 sorts last
+        size = bin(bits).count("1")
         for pos in range(len(u)):
-            if c.world_bits >> pos & 1:
+            if bits >> pos & 1:
                 mu2[pos] = rat(1, 8) / size
     conj2 = gs_and(AH, BK, rat(1, 2), rat(1, 2), u)
     assert prevision_from_distribution(conj2, mu2) == rat(1, 4)
@@ -297,14 +302,12 @@ def test_gs_and_n_reduces_to_binary():
     prevs = {(0,): x, (1,): y, (0, 1): rat(1, 4)}
     conj_n = gs_and_n([AH, BK], prevs, u)
     conj_2 = gs_and(AH, BK, x, y, u)
-    assert conj_n.world_forms == conj_2.world_forms
+    assert expand(conj_n.levels, len(u)) == expand(conj_2.levels, len(u))
     assert conj_n.conditioning is not None
     # unary case: the operand's indicator
     single = gs_and_n([AH], {(0,): x}, u)
-    from cohkit.coherence import world_values
-
-    expected = world_values(AH, u)
-    got = tuple(None if f is None else f.constant_value() for f in single.world_forms)
+    expected = expand(world_levels(AH, u), len(u))
+    got = tuple(None if f is None else f.constant_value() for f in expand(single.levels, len(u)))
     assert got == expected
 
 
@@ -325,7 +328,7 @@ def test_gs_and_n_four_conditionals():
     prevs = mu_previsions(family, [m / total for m in masses], u)
     assert len(prevs) == 15
     conj = gs_and_n(family, prevs, u)
-    assert conj.world_values(u)
+    assert conj.numeric_levels(u)
     three_way = [prevs[s] for s in prevs if len(s) == 3]
     prevs[frozenset(range(4))] = min(three_way) + rat(1, 100)
     with pytest.raises(CompoundError):
@@ -345,7 +348,7 @@ def test_chain_collapse_and_product():
         mu = [m / total for m in mu]
         prevs = mu_previsions(family, mu, u)
         conj = gs_and_n(family, prevs, u)
-        values = [f.constant_value() for f in conj.world_forms]
+        values = [f.constant_value() for f in expand(conj.levels, len(u))]
         indicator = [
             ONE if (w["E1"] and w["E2"] and w["E3"]) else ZERO
             for w in u.assignments()

@@ -2,21 +2,23 @@
 
 Seeded random families over 3-5 atoms, some with constraints: plain
 conditional events and generalized members from the compound
-conjunction, valued on a grid that includes 0 and 1 or through a world
-distribution with zero masses (so antecedents of zero probability
-occur), sometimes perturbed into incoherence.  incoherent_event_families
+conjunction, all given as (value, world bitset) levels, valued on a
+grid that includes 0 and 1 or through a world distribution with zero
+masses (so antecedents of zero probability occur), sometimes perturbed
+into incoherence.  incoherent_event_families
 draws plain conditional-event families the same way, for the witness
 tests in test_coherence.py.
 """
 
 import random
 
-from cohkit.coherence import Assessment, check_coherence, check_coherence_members, world_values
+from cohkit.coherence import Assessment, MemberTable, _gilio_check, check_coherence, world_levels
+from cohkit.compound import _compound_levels
 from cohkit.events import Atom, EventError, TOP, Universe
 from cohkit.rationals import ONE, ZERO, rat
 from cohkit.trivalent import ConditionalEvent
 
-from oracles import all_subfamily_check, compound_world_values, subfamily_points
+from oracles import all_subfamily_check, expand, subfamily_points
 
 NAMES = "ABCDE"
 GRID = (ZERO, ONE, rat(1, 2), rat(1, 3), rat(3, 4))
@@ -54,7 +56,7 @@ def _event(rng, names, universe):
         ante = TOP if rng.random() < 0.3 else _formula(rng, names)
         ce = ConditionalEvent(_formula(rng, names), ante)
         try:
-            return ce, world_values(ce, universe)
+            return ce, world_levels(ce, universe)
         except EventError:
             continue
 
@@ -68,10 +70,10 @@ def _distribution(rng, universe):
 
 
 def _prevision(member, masses):
-    """Conditional expectation under the distribution, None on a
-    zero-mass antecedent."""
+    """Conditional expectation of a member's levels under the
+    distribution, None on a zero-mass antecedent."""
     num = den = ZERO
-    for value, m in zip(member, masses):
+    for value, m in zip(expand(member, len(masses)), masses):
         if value is not None:
             num += m * value
             den += m
@@ -86,16 +88,11 @@ def _compound_members(rng, names, universe, masses):
     prevs = {}
     members = []
     for subset in (frozenset([0]), frozenset([1]), frozenset([0, 1])):
-        member = compound_world_values(family, universe, prevs, subset, True)
+        member = _compound_levels(family, universe, prevs, subset, True)
         value = _prevision(member, masses) if masses is not None else None
         prevs[subset] = rng.choice(GRID) if value is None else value
         members.append(member)
     return members, [prevs[s] for s in (frozenset([0]), frozenset([1]), frozenset([0, 1]))]
-
-
-def random_family(rng):
-    _, _, members, values, _ = random_setting(rng)
-    return members, values
 
 
 def random_setting(rng):
@@ -113,7 +110,7 @@ def random_setting(rng):
 
 
 def _add_events(rng, names, universe, masses, count, members, values):
-    """Append count random conditional events (their per-world values) and
+    """Append count random conditional events (their levels) and
     their values to members and values, perturbing one value when there is
     no distribution, and sometimes when there is; returns the events."""
     events = []
@@ -172,8 +169,9 @@ def test_gilio_agrees_with_all_subfamily_oracle():
     rng = random.Random(20000124)
     counts = {"coherent": 0, "incoherent": 0, "deep": 0, "late": 0}
     for _ in range(FAMILIES):
-        members, values = random_family(rng)
-        verdict = check_coherence_members(members, values)
+        _names, universe, members, values, _compound = random_setting(rng)
+        verdict = _gilio_check(MemberTable(members, values, len(universe)))
+        members = [expand(member, len(universe)) for member in members]
         coherent, _subset, _separator = all_subfamily_check(members, values)
         assert verdict.coherent == coherent, (members, values)
         _check_witness(members, values, verdict)

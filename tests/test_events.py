@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cohkit.coherence import MemberTable, world_levels
 from cohkit.events import (
     And,
     Atom,
@@ -11,21 +12,32 @@ from cohkit.events import (
     FormulaSyntaxError,
     Not,
     Or,
-    SIG_FALSE,
-    SIG_TRUE,
-    SIG_VOID,
     TOP,
     UnknownAtomError,
     Universe,
-    enumerate_constituents,
-    equivalent,
+    conditional_sets,
     eval_formula,
     implies,
     parse_formula,
+    set_bits,
 )
 from cohkit.trivalent import ConditionalEvent
 
+from oracles import SIG_FALSE, SIG_TRUE, SIG_VOID, world_signatures
+
 A, B, H, K = Atom("A"), Atom("B"), Atom("H"), Atom("K")
+
+
+def signatures(family, u):
+    """Signatures of the constituents C_1 .. C_m, in the order of the
+    family's MemberTable patterns (entries 1, 0, None)."""
+    table = MemberTable([world_levels(ce, u) for ce in family], [0] * len(family), len(u))
+    code = {1: SIG_TRUE, 0: SIG_FALSE, None: SIG_VOID}
+    return [tuple(code[e] for e in p) for p in table.patterns(tuple(range(len(family))))]
+
+
+def worlds(u, bits):
+    return [u.assignment(pos) for pos in set_bits(bits)]
 
 
 def test_eval_constants_and_connectives():
@@ -96,14 +108,14 @@ def test_constituents_of_nested_pair():
     # A implies B: the three constituents AB, ~A B, ~A ~B survive
     u = Universe(["A", "B"], [(A & ~B, False)])
     fam = [ConditionalEvent(A, TOP), ConditionalEvent(B, TOP)]
-    table = enumerate_constituents(fam, u)
-    assert table.c0 is None
-    assert [c.signature for c in table.constituents] == [
+    found = dict(world_signatures(fam, u))
+    assert (SIG_VOID, SIG_VOID) not in found
+    assert signatures(fam, u) == [
         (SIG_TRUE, SIG_TRUE),
         (SIG_FALSE, SIG_TRUE),
         (SIG_FALSE, SIG_FALSE),
     ]
-    world_sets = [c.worlds(u) for c in table.constituents]
+    world_sets = [worlds(u, found[sig]) for sig in signatures(fam, u)]
     assert [len(ws) for ws in world_sets] == [1, 1, 1]
     assert world_sets[0][0] == {"A": True, "B": True}
     assert world_sets[1][0] == {"A": False, "B": True}
@@ -113,11 +125,10 @@ def test_constituents_of_nested_pair():
 def test_constituents_free_conditional_pair():
     u = Universe(["A", "H", "B", "K"])
     fam = [ConditionalEvent(A, H), ConditionalEvent(B, K)]
-    table = enumerate_constituents(fam, u)
-    assert len(table.constituents) == 8
-    assert table.c0 is not None and table.c0.is_c0
+    assert len(signatures(fam, u)) == 8
+    assert (SIG_VOID, SIG_VOID) in dict(world_signatures(fam, u))
     # lexicographic with true < false < void per member
-    assert [c.signature for c in table.constituents] == [
+    assert signatures(fam, u) == [
         (SIG_TRUE, SIG_TRUE),
         (SIG_TRUE, SIG_FALSE),
         (SIG_TRUE, SIG_VOID),
@@ -140,29 +151,25 @@ def test_constituents_constrained_pair():
         ],
     )
     fam = [ConditionalEvent(A, H), ConditionalEvent(B, K)]
-    table = enumerate_constituents(fam, u)
-    assert table.c0 is not None
-    have = {c.signature for c in table.constituents}
-    assert have == {
+    found = dict(world_signatures(fam, u))
+    c0 = found.pop((SIG_VOID, SIG_VOID))
+    assert set(signatures(fam, u)) == set(found) == {
         (SIG_TRUE, SIG_TRUE),  # A H B K
         (SIG_FALSE, SIG_FALSE),  # ~A H ~B K
         (SIG_FALSE, SIG_VOID),  # ~A H ~K
         (SIG_VOID, SIG_TRUE),  # ~H B K
     }
-    def class_of(sig):
-        return next(c for c in table.constituents if c.signature == sig)
-
     assert all(w["A"] and w["H"] and w["B"] and w["K"]
-               for w in class_of((SIG_TRUE, SIG_TRUE)).worlds(u))
+               for w in worlds(u, found[(SIG_TRUE, SIG_TRUE)]))
     assert all(not w["H"] and w["B"] and w["K"]
-               for w in class_of((SIG_VOID, SIG_TRUE)).worlds(u))
-    assert all(not w["H"] and not w["K"] for w in table.c0.worlds(u))
+               for w in worlds(u, found[(SIG_VOID, SIG_TRUE)]))
+    assert c0 and all(not w["H"] and not w["K"] for w in worlds(u, c0))
 
 
 def test_empty_conditioning_rejected():
     u = Universe(["A", "H"], [(H, False)])
     with pytest.raises(EmptyConditioningError):
-        enumerate_constituents([ConditionalEvent(A, H)], u)
+        conditional_sets(ConditionalEvent(A, H), u)
 
 
 def formula_strategy(atom_names):
@@ -182,7 +189,7 @@ def formula_strategy(atom_names):
 @given(formula_strategy(["A", "B", "C"]))
 def test_render_parse_round_trip(formula):
     u = Universe(["A", "B", "C"])
-    assert equivalent(parse_formula(str(formula)), formula, u)
+    assert u.world_set(parse_formula(str(formula))) == u.world_set(formula)
 
 
 @settings(max_examples=60)
@@ -198,11 +205,10 @@ def test_constituents_partition_worlds(pairs):
     family = [ConditionalEvent(c, a) for c, a in pairs]
     if any(not u.satisfiable(ce.antecedent) for ce in family):
         return
-    table = enumerate_constituents(family, u)
     union = 0
-    for c in table.all_constituents():
-        assert union & c.world_bits == 0
-        union |= c.world_bits
+    for _sig, bits in world_signatures(family, u):
+        assert union & bits == 0
+        union |= bits
     assert union == u.all_set
 
 
@@ -210,19 +216,15 @@ def test_constituent_counts():
     # logically independent unconditional events: 2^n constituents
     u = Universe(["A", "B", "C"])
     fam = [ConditionalEvent(Atom(x), TOP) for x in "ABC"]
-    assert len(enumerate_constituents(fam, u).constituents) == 8
+    assert len(signatures(fam, u)) == 8
     # unconstrained conditional events: at most 3^n signature classes
     u4 = Universe(["A", "H", "B", "K"])
     fam2 = [ConditionalEvent(A, H), ConditionalEvent(B, K)]
-    table = enumerate_constituents(fam2, u4)
-    assert len(table.all_constituents()) <= 9
+    assert len(world_signatures(fam2, u4)) <= 9
 
 
 def test_enumeration_is_deterministic():
     u = Universe(["A", "H", "B", "K"])
     fam = [ConditionalEvent(A, H), ConditionalEvent(B, K)]
-    t1 = enumerate_constituents(fam, u)
-    t2 = enumerate_constituents(fam, u)
-    assert [c.world_bits for c in t1.constituents] == [
-        c.world_bits for c in t2.constituents
-    ]
+    assert signatures(fam, u) == signatures(fam, u)
+    assert world_signatures(fam, u) == world_signatures(fam, u)

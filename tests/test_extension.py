@@ -14,15 +14,16 @@ import pytest
 import cohkit.lp as lp
 from cohkit.coherence import (
     Assessment,
-    check_coherence_members,
+    MemberTable,
+    _extension_interval,
+    _gilio_check,
     extension_bounds,
-    extension_bounds_members,
 )
 from cohkit.events import Atom, TOP, Universe
-from cohkit.rationals import integer_row, rat
+from cohkit.rationals import ZERO, integer_row, rat
 from cohkit.trivalent import ConditionalEvent
 
-from oracles import bisection_brackets, extension_oracle
+from oracles import bisection_brackets, expand, extension_oracle
 from test_differential import _event, random_setting
 
 BASES = 300
@@ -31,15 +32,16 @@ A, H = Atom("A"), Atom("H")
 
 
 def _extension_case(rng):
-    """A coherent base and a target member: a fresh conditional event,
-    a copy of a base member, or the compound conjunction of the first
-    two members when the family has one."""
+    """A coherent base and a target member, as levels, and the number of
+    worlds: the target is a fresh conditional event, a copy of a base
+    member, or the compound conjunction of the first two members when
+    the family has one."""
     while True:
         names, universe, members, values, compound = random_setting(rng)
         draw = rng.random()
         if compound and draw < 0.5:
-            # a compound member: its per-world values read only the
-            # previsions of the first two members, which stay in the base
+            # a compound member: its levels read only the previsions of
+            # the first two members, which stay in the base
             target = members.pop(2)
             values.pop(2)
         elif draw < 0.15:
@@ -47,16 +49,19 @@ def _extension_case(rng):
         else:
             target = _event(rng, names, universe)[1]
         # the oracle's cost doubles with each member, so bases stop at 5
-        if 0 < len(members) <= 5 and check_coherence_members(members, values).coherent:
-            return members, values, target
+        width = len(universe)
+        if 0 < len(members) <= 5 and _gilio_check(MemberTable(members, values, width)).coherent:
+            return members, values, target, width
 
 
 def test_exact_endpoints_inside_bisection_brackets():
     rng = random.Random(20000125)
     deep = 0
     for _ in range(BASES):
-        members, values, target = _extension_case(rng)
-        bounds = extension_bounds_members(members, values, target)
+        members, values, target, width = _extension_case(rng)
+        bounds = _extension_interval(MemberTable(members + [target], values + [ZERO], width))
+        members = [expand(member, width) for member in members]
+        target = expand(target, width)
         case = (members, values, target, bounds)
         coherent_at = extension_oracle(members, values, target)
         assert coherent_at(bounds.lower) and coherent_at(bounds.upper), case

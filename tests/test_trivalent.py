@@ -1,6 +1,6 @@
 import pytest
 
-from cohkit.events import Atom, BOTTOM, EventError, TOP, Universe
+from cohkit.events import Atom, BOTTOM, EventError, TOP, Universe, set_bits
 from cohkit.trivalent import (
     ConditionalEvent,
     KINDS,
@@ -16,23 +16,27 @@ from cohkit.trivalent import (
     trivalent_or,
 )
 
+from oracles import SIG_FALSE, SIG_TRUE, SIG_VOID, constituent_signatures, world_signatures
+
 A, B, H, K = Atom("A"), Atom("B"), Atom("H"), Atom("K")
 AH = ConditionalEvent(A, H)
 BK = ConditionalEvent(B, K)
 
 
 def test_signature_values_bridge():
-    from cohkit.events import Universe, enumerate_constituents
-    from cohkit.trivalent import SIGNATURE_VALUES
-
+    values = {SIG_TRUE: TriValue.TRUE, SIG_FALSE: TriValue.FALSE, SIG_VOID: TriValue.VOID}
     u = Universe(["A", "H", "B", "K"])
-    table = enumerate_constituents([AH, BK], u)
     readings = [
-        tuple(SIGNATURE_VALUES[code] for code in c.signature)
-        for c in table.constituents
+        tuple(values[code] for code in sig) for sig in constituent_signatures([AH, BK], u)
     ]
     assert readings[0] == (TriValue.TRUE, TriValue.TRUE)
     assert readings[-1] == (TriValue.VOID, TriValue.FALSE)
+    # each reading is eval_conditional on the worlds of its constituent
+    for sig, bits in world_signatures([AH, BK], u):
+        for world in (u.assignment(pos) for pos in set_bits(bits)):
+            assert tuple(values[code] for code in sig) == (
+                eval_conditional(AH, world), eval_conditional(BK, world)
+            )
 
 
 def test_eval_conditional():
