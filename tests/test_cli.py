@@ -215,7 +215,11 @@ def test_entails_and_rule_on_twelve_premises(monkeypatch):
         return original(table, members, *args)
 
     monkeypatch.setattr(cohkit.coherence.MemberTable, "_build", counted)
-    code, text = run_cli("entails", str(DATA / "and_rule_12.coh"))
+    argv = ["entails", "and_rule_12.coh"]
+    code, text, err = run_captured(_in_data(argv))
+    # the golden run of this command is held here, not in
+    # test_cli_output_matches_golden, so that it runs once
+    assert _transcript(argv, code, text, err) == _golden(argv)
     assert code == 0
     report = parse_report(text)
     assert report.get("p-entails") is True
@@ -286,6 +290,47 @@ def test_tables_quarter_grid_matches_golden():
     normalized = re.sub(r"^kernel: .*$", "kernel: (normalized)", text, flags=re.M)
     golden = (GOLDEN / "tables_quarter.txt").read_text()
     assert normalized == golden
+
+
+# every command on every file in tests/data, byte for byte: exit code,
+# stdout and stderr, one section per run in tests/golden/cli/<file>.txt
+GOLDEN_ARGS = [("check",), ("dutchbook",), ("entails",)] + [
+    ("bounds", "--op", op, "--kind", kind)
+    for op in ("K", "L", "B", "S", "gs")
+    for kind in ("and", "or")
+]
+GOLDEN_RUNS = [
+    [command, path.name, *options]
+    for path in sorted(DATA.glob("*.coh"))
+    for command, *options in GOLDEN_ARGS
+]
+
+
+def _in_data(argv):
+    command, name, *options = argv
+    return [command, str(DATA / name), *options]
+
+
+def _transcript(argv, code, out, err):
+    return f"$ cohkit {' '.join(argv)}\nexit: {code}\n--- stdout\n{out}--- stderr\n{err}"
+
+
+def _golden(argv):
+    """The section of argv's run in its file's golden transcript."""
+    header = f"$ cohkit {' '.join(argv)}\n"
+    text = (GOLDEN / "cli" / Path(argv[1]).with_suffix(".txt")).read_bytes().decode()
+    sections = re.split(r"^(?=\$ cohkit )", text, flags=re.M)
+    return next(section for section in sections if section.startswith(header))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv in GOLDEN_RUNS if argv != ["entails", "and_rule_12.coh"]],
+    ids=lambda argv: "-".join([argv[1], argv[0], *argv[3::2]]),
+)
+def test_cli_output_matches_golden(argv):
+    code, out, err = run_captured(_in_data(argv))
+    assert _transcript(argv, code, out, err) == _golden(argv)
 
 
 def test_family_cap_env(tmp_path, capsys):
