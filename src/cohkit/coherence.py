@@ -63,9 +63,6 @@ class Assessment:
             raise CoherenceError("empty family")
         return Assessment(family, vals)
 
-    def in_unit_range(self) -> bool:
-        return all(0 <= v <= 1 for v in self.values)
-
 
 @dataclass(frozen=True)
 class CoherenceVerdict:

@@ -7,8 +7,7 @@ for that list over dens[i], a positive denominator, kept in lowest
 terms.  A pivot cross-multiplies integers and divides each row by one
 gcd (fraction-free elimination, after Edmonds and Bareiss), and the
 ratio test compares integer products.  The exact linear solves (the
-duals of an optimal basis, Wolfe's affine steps, solve_linear) run on
-the same pivot.
+duals of an optimal basis, Wolfe's affine steps) run on the same pivot.
 
 The data stay ints over one common denominator from the input to the
 checked certificate: the phase-1 rows are the input rows in lowest
@@ -16,12 +15,13 @@ terms, basic solutions and duals come back as ints over their lcm, and
 every answer is verified against its defining inequalities on those
 ints before being returned, so callers can rely on zero-residual
 witnesses and certificates.  Rationals are built only for the values
-and duals handed back.  The one conversion from rationals happens at
-the front doors (hull_membership, hull_zero_mass, hull_projection,
-linear_range, solve_linear), which call integer_row once and then the
-int core.  cohkit.coherence skips it: a MemberTable holds its values
-and levels as ints over one denominator and calls hull_zero_mass_ints,
-hull_projection_ints and linear_range_ints directly.
+and duals handed back.  The int cores hull_zero_mass_ints,
+hull_projection_ints and linear_range_ints take their data as ints; a
+MemberTable of cohkit.coherence holds its values and levels as ints
+over one denominator and calls them directly.  hull_membership, which
+the geometric criterion check_hull calls, is the one door for
+rationals: it converts its points and target with integer_row once and
+runs on the same int phase 1.
 
 The entry points are the ones the coherence engine uses, each keeping
 its nonnegative variables native instead of splitting signs: convex-hull
@@ -41,8 +41,6 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .rationals import ONE, ZERO, integer_row, rat
-
-_RATIONAL = type(ZERO)
 
 
 class LPError(Exception):
@@ -251,12 +249,6 @@ def _set_objective(tab, dens, basis, costs, scale):
 
 # -- integer forms of the data and the witnesses ------------------------------
 
-def _rationals(values):
-    """values as rationals: those already of the backend's type as they
-    are, anything else (ints, strings, other rationals) through rat."""
-    return [v if type(v) is _RATIONAL else rat(v) for v in values]
-
-
 def _dot(u, v):
     return sum(map(mul, u, v))
 
@@ -323,12 +315,12 @@ class IntHull:
 
 def _hull_input(points, p) -> IntHull:
     """The hull query of points and target given as rationals, ints or
-    strings: the front doors' one conversion, to ints over the lcm of
-    all their denominators."""
-    pts = [_rationals(q) for q in points]
+    strings (each through rat), as ints over the lcm of all their
+    denominators."""
+    pts = [[rat(c) for c in q] for q in points]
     if not pts:
         raise LPError("empty point list")
-    target = _rationals(p)
+    target = [rat(c) for c in p]
     dim = len(target)
     if any(len(q) != dim for q in pts):
         raise LPError("dimension mismatch between points and target")
@@ -417,24 +409,19 @@ class HullZeroMass:
     certificate: Optional[tuple]
 
 
-def hull_zero_mass(points: Sequence, p: Sequence, counts: Sequence):
-    """Hull test of p, then the coordinates with zero mass throughout.
-
-    counts[h] lists the coordinates whose mass counts point h.  Phase 1
-    is the LP of hull_membership, so an outside p gets the same verified
-    separator.  Inside, a coordinate counted by a positively weighted
-    point has positive mass; for the rest, R, warm-started phase-2 LPs on
-    the same tableau maximise the summed mass of R and drop from R the
-    coordinates that gain mass, until the optimum is 0.  Every optimum is
-    recomposed exactly and the final one carries a checked dual vector.
-    Returns HullOutside or HullZeroMass; hull_zero_mass_ints does the
-    work on the points and p as ints.
-    """
-    return hull_zero_mass_ints(_hull_input(points, p), counts)
-
-
 def hull_zero_mass_ints(hull: IntHull, counts: Sequence):
-    """hull_zero_mass on an IntHull; counts[h] belongs to input point h."""
+    """Hull test of the target p, then the coordinates with zero mass
+    throughout.
+
+    counts[h] lists the coordinates whose mass counts input point h.
+    Phase 1 is the LP of hull_membership, so an outside p gets the same
+    verified separator.  Inside, a coordinate counted by a positively
+    weighted point has positive mass; for the rest, R, warm-started
+    phase-2 LPs on the same tableau maximise the summed mass of R and
+    drop from R the coordinates that gain mass, until the optimum is 0.
+    Every optimum is recomposed exactly and the final one carries a
+    checked dual vector.  Returns HullOutside or HullZeroMass.
+    """
     if len(counts) != len(hull.column):
         raise LPError("one coordinate list per point required")
     # a unique column stands for all its duplicates, so mass on it can
@@ -536,18 +523,10 @@ def _affine_weights(rows, p):
     return [rat(scale - sum(alphas), scale)] + [rat(a, scale) for a in alphas]
 
 
-def hull_projection(points: Sequence, p: Sequence) -> HullProjection:
-    """Euclidean projection of p onto the convex hull of the points.
-
-    Wolfe's min-norm-point algorithm (Math. Programming 11, 1976), which
-    terminates finitely in exact arithmetic; hull_projection_ints does
-    the work on the points and p as ints.
-    """
-    return hull_projection_ints(_hull_input(points, p))
-
-
 def hull_projection_ints(hull: IntHull) -> HullProjection:
-    """hull_projection on an IntHull.
+    """Euclidean projection of the target p onto the convex hull of the
+    points, by Wolfe's min-norm-point algorithm (Math. Programming 11,
+    1976), which terminates finitely in exact arithmetic.
 
     The corral holds affinely independent points with positive weights
     whose combination x is the projection of p onto their affine hull.
@@ -658,43 +637,16 @@ def _solve(rows, num_vars):
     return _reduced(x, scale)
 
 
-def solve_linear(matrix, rhs, num_vars):
-    """One exact solution of matrix.x = rhs (free variables pinned to
-    zero), or None when the system is inconsistent."""
-    width = num_vars + 1
-    flat, _scale = integer_row([v for coeffs, b in zip(matrix, rhs) for v in (*coeffs, b)])
-    solved = _solve([flat[i : i + width] for i in range(0, len(flat), width)], num_vars)
-    if solved is None:
-        return None
-    x, scale = solved
-    return [rat(v, scale) for v in x]
-
-
-def linear_range(columns: Sequence, rhs: Sequence, costs: Sequence):
-    """Range of costs.x over x >= 0 with sum_j x_j columns[j] = rhs.
+def linear_range_ints(columns: Sequence, rhs: Sequence, costs: Sequence, scale: int):
+    """Range of costs.x over x >= 0 with sum_j x_j columns[j] = rhs, the
+    columns, rhs and costs being ints over the common denominator scale.
 
     Returns (lo, hi), or None when no such x exists.  The objective must
     be bounded below and above on the region; the extension LPs satisfy
-    that through a normalising row.  The data are converted once to ints
-    over their common denominator for linear_range_ints.
-    """
-    cols = [_rationals(col) for col in columns]
-    b = _rationals(rhs)
-    c = _rationals(costs)
-    if not cols or len(c) != len(cols) or any(len(col) != len(b) for col in cols):
-        raise LPError("bad range description")
-    m, n = len(b), len(cols)
-    flat, scale = integer_row([v for col in cols for v in col] + b + c)
-    int_cols = [flat[j * m : (j + 1) * m] for j in range(n)]
-    return linear_range_ints(int_cols, flat[n * m : n * m + m], flat[n * m + m :], scale)
-
-
-def linear_range_ints(columns: Sequence, rhs: Sequence, costs: Sequence, scale: int):
-    """linear_range on ints over the common denominator scale.
-
-    The maximum is the negated minimum of -costs, so both ends share
-    phase 1.  Each end is returned, as a rational, only after
-    _checked_optimum has verified it against the duals of its basis.
+    that through a normalising row.  The maximum is the negated minimum
+    of -costs, so both ends share phase 1.  Each end is returned, as a
+    rational, only after _checked_optimum has verified it against the
+    duals of its basis.
     """
     tab, dens, basis, _flips, total = _phase1([list(row) for row in zip(*columns)], rhs, scale)
     if tab[-1][-1] != 0:

@@ -1,10 +1,9 @@
 """Exact rational numbers and their text renderings.
 
-gmpy2's mpq is used when available (roughly an order of magnitude faster
-than fractions.Fraction on desk-scale numerators); otherwise the standard
-library Fraction steps in.  Everything downstream only relies on the
-shared surface: arithmetic mixing with int, total order, and the
-numerator/denominator attributes in canonical form.
+Every rational in cohkit is a fractions.Fraction.  The LP and the
+coherence engine carry their data as Python ints over one common
+denominator (integer_row), so rationals are built only for the values
+read in and the results handed back.
 """
 
 from __future__ import annotations
@@ -12,24 +11,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-try:
-    from gmpy2 import mpq as _mpq
-
-    BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _mpq = Fraction
-    BACKEND = "fractions"
+BACKEND = "fractions"  # read by perfbench, through getattr, for its environment line
 
 
 def rat(numerator=0, denominator=1):
     """Build an exact rational; strings go through parse_rational."""
-    if type(numerator) is _mpq and denominator == 1:
+    if type(numerator) is Fraction and denominator == 1:
         return numerator  # immutable, so no copy is needed
     if isinstance(numerator, str):
         if denominator != 1:
             raise ValueError("string form takes no denominator")
         return parse_rational(numerator)
-    return _mpq(numerator, denominator)
+    return Fraction(numerator, denominator)
 
 ZERO = rat(0)
 ONE = rat(1)
@@ -38,8 +31,8 @@ ONE = rat(1)
 def integer_row(values):
     """(ints, d) with ints[j] / d == values[j]: d is the lcm of the
     entries' denominators, the one positive d with gcd(d, *ints) == 1."""
-    nums = [int(v.numerator) for v in values]
-    dens = [int(v.denominator) for v in values]
+    nums = [v.numerator for v in values]
+    dens = [v.denominator for v in values]
     d = lcm(*dens)
     if d == 1:
         return nums, 1
@@ -48,6 +41,13 @@ def integer_row(values):
 
 class RationalParseError(ValueError):
     pass
+
+
+def _digits(s: str) -> bool:
+    """Nonempty and ASCII 0-9 only.  str.isdigit is also true for
+    superscripts, which int() rejects, and for the digits of other
+    scripts, which int() reads."""
+    return s.isascii() and s.isdigit()
 
 
 def parse_rational(text: str):
@@ -66,21 +66,21 @@ def parse_rational(text: str):
         s = s[1:]
     if "/" in s:
         num, _, den = s.partition("/")
-        if not (num.isdigit() and den.isdigit()):
+        if not (_digits(num) and _digits(den)):
             raise RationalParseError(f"bad rational literal {text!r}")
         if int(den) == 0:
             raise RationalParseError(f"zero denominator in {text!r}")
         return sign * rat(int(num), int(den))
     if "." in s:
         whole, _, frac = s.partition(".")
-        if (whole and not whole.isdigit()) or (frac and not frac.isdigit()):
+        if (whole and not _digits(whole)) or (frac and not _digits(frac)):
             raise RationalParseError(f"bad decimal literal {text!r}")
         if not whole and not frac:
             raise RationalParseError(f"bad decimal literal {text!r}")
         whole = whole or "0"
         frac = frac or "0"
         return sign * (rat(int(whole)) + rat(int(frac), 10 ** len(frac)))
-    if not s.isdigit():
+    if not _digits(s):
         raise RationalParseError(f"bad number literal {text!r}")
     return sign * rat(int(s))
 
@@ -98,7 +98,7 @@ def format_decimal(value, digits: int = 12) -> str:
     """Decimal rendering, exact when terminating, else rounded.
 
     Rounding is half-away-from-zero on the last of ``digits`` fractional
-    digits, which keeps the output deterministic across backends.
+    digits.
     """
     value = rat(value)
     num, den = value.numerator, value.denominator

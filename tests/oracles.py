@@ -35,8 +35,9 @@ them, and per-world compound forms compared at the coherent values.
 
 The rational target program is how cohkit built the endpoint LPs of an
 extension round before it read them from its member table's ints: one
-column of rationals per decoded constituent pattern, for the rational
-front door linear_range.
+column of rationals per decoded constituent pattern, for rational_range.
+rational_range and int_rows take rational data to cohkit.lp's int
+cores, converted once with integer_row.
 
 The Fraction tableau kernel is the simplex cohkit.lp ran before its
 integer rows, with the pricing cohkit.lp uses now: every entry a
@@ -50,8 +51,8 @@ from fractions import Fraction
 
 from cohkit.compound import LinForm, _system_coherent
 from cohkit.events import conditional_sets, eval_formula
-from cohkit.lp import HullOutside, hull_membership
-from cohkit.rationals import ONE, ZERO, rat
+from cohkit.lp import HullOutside, hull_membership, linear_range_ints
+from cohkit.rationals import ONE, ZERO, integer_row, rat
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -383,8 +384,26 @@ def _bisect_edge(coherent_at, end, good, tolerance):
     return bad, good
 
 
+def int_rows(rows):
+    """Rows of rationals (or ints) as int rows over their one common
+    denominator, by integer_row: (int rows, denominator)."""
+    flat, scale = integer_row([v for row in rows for v in row])
+    out, start = [], 0
+    for row in rows:
+        out.append(flat[start : start + len(row)])
+        start += len(row)
+    return out, scale
+
+
+def rational_range(columns, rhs, costs):
+    """Range of costs.x over x >= 0 with sum_j x_j columns[j] = rhs, the
+    data rationals or ints: linear_range_ints on their int_rows."""
+    (*cols, b, c), scale = int_rows([*columns, rhs, costs])
+    return linear_range_ints(cols, b, c, scale)
+
+
 def target_program(patterns, values):
-    """linear_range arguments of one extension round from the decoded
+    """rational_range arguments of one extension round from the decoded
     patterns of the base subset plus the target (None where void): a
     column per pattern (the bet e_i - p_i of each effective base member,
     then 1 when the target is non-void), right-hand side (0, ..., 0, 1),

@@ -248,6 +248,14 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_ascii_digits_exit_two_with_line_number(tmp_path, capsys):
+    # "²" passes str.isdigit, but int() rejects it
+    bad = tmp_path / "sup.coh"
+    bad.write_text("atoms A\nevent e = A\nassess e = ²\n", encoding="utf-8")
+    assert main(["check", str(bad)]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
 def run_captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -24,12 +24,13 @@ from cohkit.coherence import (
 )
 from cohkit.events import Atom, TOP, Universe
 from cohkit.fileio import parse_assessment_file
-from cohkit.lp import HullInside, HullOutside, linear_range
+from cohkit.lp import HullInside, HullOutside
 from cohkit.rationals import rat
 from cohkit.trivalent import ConditionalEvent, free_universe
 
 from oracles import SIG_TRUE, SIG_VOID, bisection_brackets, constituent_signatures, expand
-from oracles import extension_oracle, gain_and_penalty, subfamily_points, world_signatures
+from oracles import extension_oracle, gain_and_penalty, rational_range, subfamily_points
+from oracles import world_signatures
 from test_differential import incoherent_event_families
 
 DATA = Path(__file__).parent / "data"
@@ -431,7 +432,7 @@ def classical_disjunction_bounds(x, y):
     rows = [(0, 0), (0, 1), (1, 0), (1, 1)]
     scores = [0, 1, 1, 1]  # indicator of A or B
     columns = [(a, b, 1) for a, b in rows]
-    return linear_range(columns, (x, y, 1), scores)
+    return rational_range(columns, (x, y, 1), scores)
 
 
 def test_extension_matches_classical_bounds():

@@ -23,7 +23,7 @@ from cohkit.events import Atom, TOP, Universe
 from cohkit.rationals import ZERO, integer_row, rat
 from cohkit.trivalent import ConditionalEvent
 
-from oracles import bisection_brackets, expand, extension_oracle
+from oracles import bisection_brackets, expand, extension_oracle, rational_range
 from test_differential import _event, random_setting
 
 BASES = 300
@@ -114,4 +114,4 @@ def test_corrupted_dual_feasibility_raises(monkeypatch):
     # (1 + d, -d/2) keeps y.b = 1/2 but prices the point 1 above its cost
     _corrupt_duals(monkeypatch, lambda y: [y[0] + rat(1, 5), y[1] - rat(1, 10)])
     with pytest.raises(lp.LPInternalError, match="dual feasibility"):
-        lp.linear_range([(0, 1), (1, 1)], (rat(1, 2), 1), [0, 1])
+        rational_range([(0, 1), (1, 1)], (rat(1, 2), 1), [0, 1])

@@ -40,3 +40,26 @@ def test_module_uses_every_name_it_imports(path):
             imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_lp_exports_only_what_the_library_calls():
+    """Every public function of cohkit.lp is called inside lp.py or
+    imported by another library module: no door that only tests open."""
+    package = Path(cohkit.__file__).parent
+    tree = ast.parse((package / "lp.py").read_text())
+    public = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    called = {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    imported = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("lp", "cohkit.lp"):
+                imported.update(alias.name for alias in node.names)
+    assert sorted(public - called - imported) == []

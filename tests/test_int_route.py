@@ -2,7 +2,8 @@
 
 The engine hands the LPs its table's int form (every value over one
 denominator) instead of rationals.  These tests hold that route to the
-rational front doors round by round, count the conversions and pivots
+rational one (the same LPs on the decoded rational patterns, converted
+once with integer_row) round by round, count the conversions and pivots
 it makes, and check that a revalued table computes its own int form.
 """
 
@@ -25,12 +26,11 @@ from cohkit.coherence import (
 from cohkit.compound import gs_and, gs_or
 from cohkit.events import Atom, EventError, TOP, Universe
 from cohkit.fileio import parse_assessment_file
-from cohkit.lp import hull_zero_mass, linear_range
 from cohkit.rationals import ONE, ZERO, rat
 from cohkit.tables import OPERATORS, build_target
 from cohkit.trivalent import ConditionalEvent
 
-from oracles import target_program
+from oracles import rational_range, target_program
 
 DATA = Path(__file__).parent / "data"
 GRID = (ZERO, ONE, rat(1, 2), rat(1, 3), rat(3, 4))
@@ -42,7 +42,7 @@ def _load(name):
     return Assessment.build(doc.assessed_events(), doc.assessed_values()), doc.universe
 
 
-# -- the table route against the rational front doors --------------------------
+# -- the table route against the rational route -------------------------------
 
 def _formula(rng, names):
     """A literal, or two literals joined by & or |, as in coherent_wide.coh."""
@@ -120,7 +120,8 @@ def _decoded(table, subset, ranks):
 @pytest.fixture
 def compared(monkeypatch):
     """Hold every subfamily_hull and every extension range the engine
-    computes to the rational front doors on the same table; counts them."""
+    computes to the int cores on the table's decoded rational patterns,
+    converted once with integer_row; counts them."""
     seen = {"hulls": 0, "ranges": 0}
     hull = MemberTable.subfamily_hull
     program = coherence._target_program
@@ -132,7 +133,8 @@ def compared(monkeypatch):
         patterns = _decoded(table, subset, ranks)
         effective = [[k for k, e in enumerate(p) if e is not None] for p in patterns]
         values = [table.values[i] for i in subset]
-        assert outcome == hull_zero_mass(table.hull_rows(subset, patterns), values, effective)
+        query = lp._hull_input(table.hull_rows(subset, patterns), values)
+        assert outcome == lp.hull_zero_mass_ints(query, effective)
         seen["hulls"] += 1
         return outcome
 
@@ -141,7 +143,7 @@ def compared(monkeypatch):
         target = len(table.members) - 1
         patterns = _decoded(table, subset + (target,), ranks)
         rational = target_program(patterns, [table.values[i] for i in subset])
-        assert lp.linear_range_ints(*ints) == linear_range(*rational)
+        assert lp.linear_range_ints(*ints) == rational_range(*rational)
         seen["ranges"] += 1
         return ints
 

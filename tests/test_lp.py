@@ -15,31 +15,30 @@ from cohkit.lp import (
     LPError,
     LPInternalError,
     hull_membership,
-    hull_projection,
-    hull_zero_mass,
-    linear_range,
+    hull_projection_ints,
+    hull_zero_mass_ints,
 )
 from cohkit.rationals import integer_row, rat
 
 import oracles
-from oracles import EQ, GE, brute_force_optimum, brute_force_projection
+from oracles import EQ, GE, brute_force_optimum, brute_force_projection, rational_range
 
 
 def test_one_dimensional_box():
     # 0 <= x <= 1 as x + s = 1 over x, s >= 0
-    assert linear_range([(1,), (1,)], (1,), (1, 0)) == (0, 1)
+    assert rational_range([(1,), (1,)], (1,), (1, 0)) == (0, 1)
 
 
 def test_pure_feasibility():
     # zero costs: x1 + x2 = 1 is feasible, x1 + x2 = -1 has no x >= 0
-    assert linear_range([(1,), (1,)], (1,), (0, 0)) == (0, 0)
-    assert linear_range([(1,), (1,)], (-1,), (0, 0)) is None
+    assert rational_range([(1,), (1,)], (1,), (0, 0)) == (0, 0)
+    assert rational_range([(1,), (1,)], (-1,), (0, 0)) is None
 
 
 def test_unbounded_ray():
     # x1 - x2 = 0 leaves the ray x1 = x2 = t open, so x1 has no maximum
     with pytest.raises(LPError, match="unbounded"):
-        linear_range([(1,), (-1,)], (0,), (1, 0))
+        rational_range([(1,), (-1,)], (0,), (1, 0))
 
 
 def test_hull_midpoint():
@@ -92,9 +91,9 @@ def test_hull_rejects_bad_input():
 def test_linear_range_segment():
     # weights on the points 0 and 1 (the last row is sum(w) = 1)
     segment = [(0, 1), (1, 1)]
-    assert linear_range(segment, (rat(1, 2), 1), [rat(0), rat(1)]) == (rat(1, 2), rat(1, 2))
-    assert linear_range(segment, (rat(3, 2), 1), [0, 1]) is None
-    lo, hi = linear_range([(1,), (1,), (1,)], (1,), [rat(1, 3), rat(2, 3), rat(1, 6)])
+    assert rational_range(segment, (rat(1, 2), 1), [rat(0), rat(1)]) == (rat(1, 2), rat(1, 2))
+    assert rational_range(segment, (rat(3, 2), 1), [0, 1]) is None
+    lo, hi = rational_range([(1,), (1,), (1,)], (1,), [rat(1, 3), rat(2, 3), rat(1, 6)])
     assert (lo, hi) == (rat(1, 6), rat(2, 3))
 
 
@@ -127,7 +126,7 @@ def test_linear_range_matches_vertex_enumeration():
         constraints += [(tuple(int(i == j) for i in range(n)), GE, 0) for j in range(n)]
         lo = brute_force_optimum(n, constraints, costs, maximize=False)
         hi = brute_force_optimum(n, constraints, costs, maximize=True)
-        result = linear_range(list(zip(*rows)), rhs, costs)
+        result = rational_range(list(zip(*rows)), rhs, costs)
         if lo is None:
             # no vertex: the bounded region is empty
             assert result is None
@@ -175,7 +174,7 @@ def test_hull_zero_mass_certificate():
     counts = [[0, 1], [0, 1], [0], [1], [1]]
     target = (half, 1)
     inside = hull_membership(points, target)
-    outcome = hull_zero_mass(points, target, counts)
+    outcome = hull_zero_mass_ints(kernel._hull_input(points, target), counts)
     assert outcome.weights == inside.weights
     assert outcome.zero_mass == (0,)
     y, y0 = outcome.certificate
@@ -188,7 +187,8 @@ def test_hull_zero_mass_outside_matches_hull_membership():
     points = [(1, 1, 1), (1, 0, 1), (0, 1, 1), (0, 0, 0)]
     target = (rat(2, 5), rat(3, 10), rat(4, 5))
     counts = [[0, 1, 2]] * 4
-    assert hull_zero_mass(points, target, counts) == hull_membership(points, target)
+    outcome = hull_zero_mass_ints(kernel._hull_input(points, target), counts)
+    assert outcome == hull_membership(points, target)
 
 
 @settings(max_examples=60, deadline=None)
@@ -210,11 +210,11 @@ def test_hull_zero_mass_agrees_with_range_lps(rows, mix):
         weights[0] = rat(1)
     total = sum(weights)
     target = tuple(sum(w * q[i] for w, q in zip(weights, points)) / total for i in range(2))
-    outcome = hull_zero_mass(points, target, counts)
+    outcome = hull_zero_mass_ints(kernel._hull_input(points, target), counts)
     assert isinstance(outcome, HullZeroMass)
     for i in range(2):
         scores = [1 if i in cs else 0 for cs in counts]
-        _lo, hi = linear_range([q + (1,) for q in points], target + (1,), scores)
+        _lo, hi = rational_range([q + (1,) for q in points], target + (1,), scores)
         assert (hi == 0) == (i in outcome.zero_mass)
 
 
@@ -228,7 +228,7 @@ def test_hull_projection_matches_subset_oracle(data):
         tuple(rat(data.draw(grid), 3) for _ in range(dim)) for _ in range(npts)
     ]
     p = tuple(rat(data.draw(st.integers(-6, 6)), 4) for _ in range(dim))
-    projection = hull_projection(points, p)
+    projection = hull_projection_ints(kernel._hull_input(points, p))
     assert projection.point == brute_force_projection(points, p)
     mix = tuple(
         sum(w * q[i] for w, q in zip(projection.weights, points)) for i in range(dim)
@@ -447,7 +447,9 @@ def test_solve_linear_matches_fraction_kernel():
             matrix.append([k * v for v in matrix[0]])
             rhs.append(k * rhs[0] if rng.random() < 0.5 else _entry(rng))
         expected = oracles.solve_linear(matrix, rhs, num_vars)
-        assert kernel.solve_linear(matrix, rhs, num_vars) == expected
+        rows, _scale = oracles.int_rows([(*coeffs, b) for coeffs, b in zip(matrix, rhs)])
+        solved = kernel._solve(rows, num_vars)
+        assert solved == (None if expected is None else integer_row(expected))
         if expected is None:
             seen["inconsistent"] += 1
         elif _rank(matrix) < num_vars:
@@ -502,7 +504,7 @@ def _zero_mass_case():
 
 def test_verify_zero_mass_rejects_nudged_certificates():
     points, target, counts = _zero_mass_case()
-    (y1, y2), y0 = hull_zero_mass(points, target, counts).certificate
+    (y1, y2), y0 = hull_zero_mass_ints(kernel._hull_input(points, target), counts).certificate
     hull = kernel._hull_input(points, target)
     kernel._verify_zero_mass(*integer_row([y1, y2, y0]), hull, counts, {0})
     with pytest.raises(LPInternalError, match="nonzero value"):
@@ -514,7 +516,7 @@ def test_verify_zero_mass_rejects_nudged_certificates():
 
 def test_checked_projection_rejects_a_point_that_is_not_the_projection():
     points, p = [(0, 0), (1, 0)], (HALF, 1)
-    projection = hull_projection(points, p)
+    projection = hull_projection_ints(kernel._hull_input(points, p))
     assert projection == HullProjection((HALF, 0), (HALF, HALF))
     hull = kernel._hull_input(points, p)
     cases = [
@@ -534,4 +536,6 @@ def test_hull_entry_points_read_ints_fractions_and_strings():
     for p in [(1, 2), ("3", 3), (Fraction(2, 3), "5/2")]:
         exact_p = tuple(rat(c) for c in p)
         assert hull_membership(points, p) == hull_membership(exact_points, exact_p)
-        assert hull_projection(points, p) == hull_projection(exact_points, exact_p)
+        assert hull_projection_ints(kernel._hull_input(points, p)) == hull_projection_ints(
+            kernel._hull_input(exact_points, exact_p)
+        )

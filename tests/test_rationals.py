@@ -24,7 +24,9 @@ def test_parse_forms():
         rat("1/2", 3)
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "a/b", "1.2.3", "1e3", ".", "--1"])
+@pytest.mark.parametrize(
+    "bad", ["", "1/0", "a/b", "1.2.3", "1e3", ".", "--1", "²", "1/²", "¹/2", "0.²", "٣/٤"]
+)
 def test_parse_rejects(bad):
     with pytest.raises(RationalParseError):
         parse_rational(bad)
