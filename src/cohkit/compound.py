@@ -29,7 +29,7 @@ from .coherence import (
     _gilio_check,
     check_coherence,
 )
-from .events import TOP, And, Atom, Formula, Or, Universe, conditional_sets, refine, set_bits
+from .events import TOP, And, Atom, Formula, Universe, conditional_sets, refine, set_bits
 from .rationals import ONE, ZERO, rat
 from .trivalent import ConditionalEvent, negate, _pair_region_universes, _A, _H, _B, _K
 
@@ -110,25 +110,19 @@ class LinForm:
 
 @dataclass(frozen=True)
 class ConditionalRandomQuantity:
-    """Linear-form values on world bitsets, conditioned on a formula.
+    """Linear-form values on world bitsets.
 
     levels holds disjoint (LinForm, world bitset) pairs; the quantity is
-    void on the worlds of no level, exactly where the conditioning
-    formula fails, and there it is worth its own prevision, named by
-    self_symbol.
+    void on the worlds of no level, exactly where its conditioning event
+    fails, and there it is worth its own prevision.
     """
 
     universe: Universe
-    conditioning: Formula
     levels: tuple
-    self_symbol: str
 
     def substitute(self, mapping: Mapping[str, object]) -> "ConditionalRandomQuantity":
         return ConditionalRandomQuantity(
-            self.universe,
-            self.conditioning,
-            tuple((f.substitute(mapping), bits) for f, bits in self.levels),
-            self.self_symbol,
+            self.universe, tuple((f.substitute(mapping), bits) for f, bits in self.levels)
         )
 
     def numeric_levels(self, universe: Universe) -> tuple:
@@ -141,27 +135,17 @@ class ConditionalRandomQuantity:
         return tuple((f.constant_value(), bits) for f, bits in self.levels)
 
 
-def event_quantity(
-    ce: ConditionalEvent, universe: Universe, probability
-) -> ConditionalRandomQuantity:
-    """A conditional event as a random quantity: 1, 0, or its probability."""
-    prob = LinForm.of(probability)
+def event_quantity(ce: ConditionalEvent, universe: Universe) -> ConditionalRandomQuantity:
+    """A conditional event as a random quantity: 1, 0, or void."""
     true, false, _void = conditional_sets(ce, universe)
-    levels = ((LinForm.of(1), true), (LinForm.of(0), false))
-    name = prob.terms[0][0] if (prob.const == 0 and len(prob.terms) == 1) else "p"
-    return ConditionalRandomQuantity(universe, ce.antecedent, levels, name)
+    return ConditionalRandomQuantity(universe, ((LinForm.of(1), true), (LinForm.of(0), false)))
 
 
-def _compound_quantity(family, universe, prevs, conjunction: bool, self_name):
+def _compound_quantity(family, universe, prevs, conjunction: bool):
     """The compound of the whole family, its values as linear forms."""
     full = frozenset(range(len(family)))
     levels = _compound_levels(family, universe, prevs, full, conjunction)
-    conditioning = family[0].antecedent
-    for ce in family[1:]:
-        conditioning = Or(conditioning, ce.antecedent)
-    return ConditionalRandomQuantity(
-        universe, conditioning, tuple((LinForm.of(v), bits) for v, bits in levels), self_name
-    )
+    return ConditionalRandomQuantity(universe, tuple((LinForm.of(v), bits) for v, bits in levels))
 
 
 def _require_coherent_pair(ce1, ce2, x, y, universe):
@@ -179,14 +163,13 @@ def gs_and(
     x,
     y,
     universe: Universe,
-    self_name: str = "z",
     check: bool = True,
 ) -> ConditionalRandomQuantity:
     """Five-valued conjunction: 1, 0, x, y, or its own prevision."""
     if check:
         _require_coherent_pair(ce1, ce2, x, y, universe)
     prevs = {_FIRST: x, _SECOND: y}
-    return _compound_quantity((ce1, ce2), universe, prevs, True, self_name)
+    return _compound_quantity((ce1, ce2), universe, prevs, True)
 
 
 def gs_or(
@@ -195,18 +178,13 @@ def gs_or(
     x,
     y,
     universe: Universe,
-    self_name: str = "w",
     check: bool = True,
 ) -> ConditionalRandomQuantity:
     """Five-valued disjunction, dual to gs_and."""
     if check:
         _require_coherent_pair(ce1, ce2, x, y, universe)
     prevs = {_FIRST: x, _SECOND: y}
-    return _compound_quantity((ce1, ce2), universe, prevs, False, self_name)
-
-
-def _subset_name(prefix: str, subset: frozenset) -> str:
-    return prefix + "{" + ",".join(str(i + 1) for i in sorted(subset)) + "}"
+    return _compound_quantity((ce1, ce2), universe, prevs, False)
 
 
 def _nary_compound(family, universe, previsions, conjunction: bool, check: bool):
@@ -220,8 +198,7 @@ def _nary_compound(family, universe, previsions, conjunction: bool, check: bool)
                 raise CompoundError(f"missing prevision for subset {sorted(s)}")
     if check and not _system_coherent(family, universe, prevs, conjunction):
         raise CompoundError("incoherent prevision system")
-    name = _subset_name("x" if conjunction else "y", frozenset(range(n)))
-    return _compound_quantity(family, universe, prevs, conjunction, name)
+    return _compound_quantity(family, universe, prevs, conjunction)
 
 
 def _compound_levels(family, universe, prevs, subset: frozenset, conjunction: bool):
@@ -523,10 +500,10 @@ def p_entails_absorption(problem: ExtensionProblem) -> bool:
     universe = problem.verdict.universe
     n = len(family)
     everything = family + (problem.target,)
-    small = _compound_quantity(family, universe, _ForcedPrevisions(n, ONE), True, "small")
+    small = _compound_quantity(family, universe, _ForcedPrevisions(n, ONE), True)
 
     def maps_equal(t) -> bool:
-        big = _compound_quantity(everything, universe, _ForcedPrevisions(n, t), True, "big")
+        big = _compound_quantity(everything, universe, _ForcedPrevisions(n, t), True)
         # where only the smaller conjunction is void it is worth its own
         # prevision, forced to one
         return _forms_equal_modulo_void(big, small, ONE)
@@ -569,14 +546,14 @@ def _forms_equal(q1: ConditionalRandomQuantity, q2: ConditionalRandomQuantity) -
     return all(a == b for a, b, _bits in _joint_classes(q1, q2))
 
 
-def _sum_quantity(q1, q2, conditioning, self_symbol):
+def _sum_quantity(q1, q2):
     levels = []
     for a, b, bits in _joint_classes(q1, q2):
         if (a is None) != (b is None):
             raise CompoundError("void patterns differ; sum undefined")
         if a is not None:
             levels.append((a + b, bits))
-    return ConditionalRandomQuantity(q1.universe, conditioning, tuple(levels), self_symbol)
+    return ConditionalRandomQuantity(q1.universe, tuple(levels))
 
 
 def _check_p2b() -> bool:
@@ -584,8 +561,8 @@ def _check_p2b() -> bool:
     ah = ConditionalEvent(_A, _H)
     kk = ConditionalEvent(_K, _K)
     x = LinForm.symbol("x")
-    conj = gs_and(ah, kk, x, ONE, u, self_name="z", check=False)
-    target = event_quantity(ah, u, x)
+    conj = gs_and(ah, kk, x, ONE, u, check=False)
+    target = event_quantity(ah, u)
     # wherever exactly one side is void its value must match the other's
     # worth x; on the common void part the prevision equation z = x holds
     # by the comparison convention
@@ -608,12 +585,12 @@ def _check_p2a() -> bool:
     bk = ConditionalEvent(_B, _K)
     x = LinForm.symbol("x")
     y = LinForm.symbol("y")
-    conj1 = gs_and(ah, bk, x, y, u, self_name="z1", check=False)
-    conj2 = gs_and(ah, negate(bk), x, 1 - y, u, self_name="z2", check=False)
+    conj1 = gs_and(ah, bk, x, y, u, check=False)
+    conj2 = gs_and(ah, negate(bk), x, 1 - y, u, check=False)
     # the two compounds share the conditioning H|K-or, so the sum is a
     # quantity on the same conditioning; its own prevision must be x
-    total = _sum_quantity(conj1, conj2, conj1.conditioning, "x")
-    target = event_quantity(ah, u, x)
+    total = _sum_quantity(conj1, conj2)
+    target = event_quantity(ah, u)
     return _forms_equal_modulo_void(total, target, x)
 
 
@@ -621,9 +598,9 @@ def _check_p2c() -> bool:
     u = Universe(("A", "H", "B", "K"))
     bk = ConditionalEvent(_B, _K)
     y = LinForm.symbol("y")
-    both = gs_or(bk, negate(bk), y, 1 - y, u, self_name="w", check=False)
+    both = gs_or(bk, negate(bk), y, 1 - y, u, check=False)
     both = both.substitute({"w": ONE})
-    kk = event_quantity(ConditionalEvent(_K, _K), u, ONE)
+    kk = event_quantity(ConditionalEvent(_K, _K), u)
     return _forms_equal(both, kk) and _check_p2b() and _check_p2a()
 
 
@@ -634,14 +611,14 @@ def _check_p3() -> bool:
     x = LinForm.symbol("x")
     y = LinForm.symbol("y")
     zneg = LinForm.symbol("zneg")
-    disj = gs_or(ah, bk, x, y, u, self_name="w", check=False)
-    conj = gs_and(negate(ah), bk, 1 - x, y, u, self_name="zneg", check=False)
+    disj = gs_or(ah, bk, x, y, u, check=False)
+    conj = gs_and(negate(ah), bk, 1 - x, y, u, check=False)
     rhs_levels = tuple(
         ((x if a is None else a) + (zneg if b is None else b), bits)
-        for a, b, bits in _joint_classes(event_quantity(ah, u, x), conj)
+        for a, b, bits in _joint_classes(event_quantity(ah, u), conj)
         if a is not None or b is not None
     )
-    rhs = ConditionalRandomQuantity(u, disj.conditioning, rhs_levels, "w")
+    rhs = ConditionalRandomQuantity(u, rhs_levels)
     return _forms_equal(disj, rhs)
 
 
@@ -652,8 +629,8 @@ def _check_chain() -> bool:
     outer = ConditionalEvent(h, k)
     x = LinForm.symbol("x")
     y = LinForm.symbol("y")
-    conj = gs_and(inner, outer, x, y, u, self_name="z", check=False)
-    target = event_quantity(ConditionalEvent(e & h, k), u, LinForm.symbol("z"))
+    conj = gs_and(inner, outer, x, y, u, check=False)
+    target = event_quantity(ConditionalEvent(e & h, k), u)
     if not _forms_equal_modulo_void(conj, target, LinForm.symbol("z")):
         return False
     # prevision collapse: the only coherent target value is x * y
@@ -704,8 +681,8 @@ def _check_p1() -> bool:
             subs["x"] = forced_x
         if forced_y is not None:
             subs["y"] = forced_y
-        conj = gs_and(ah, bk, x, y, u, self_name="z", check=False).substitute(subs)
-        target = event_quantity(ah, u, x.substitute(subs))
+        conj = gs_and(ah, bk, x, y, u, check=False).substitute(subs)
+        target = event_quantity(ah, u)
         equal = _forms_equal_modulo_void(conj, target, x.substitute(subs))
         gn = (t1 & ~t2 == 0) and (f2 & ~f1 == 0)
         leq = gn or t1 == 0 or f2 == 0

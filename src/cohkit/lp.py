@@ -30,7 +30,11 @@ Gilio's check (hull test, then the coordinates with zero mass at every
 hull solution, with a dual certificate), the range of a linear objective
 over x >= 0 on equality rows (both ends, each proved optimal by its
 primal solution and a dual vector), and the exact Euclidean projection
-onto a hull that the penalty dominator uses.
+onto a hull that the penalty dominator uses.  The zero-mass rounds and
+the range ends run one phase-2 routine, _phase2, on standard-form
+columns (a hull is the system of _system) and pass one check,
+_checked_optimum, whose primal half, _checked_primal, checks every hull
+weight too.
 """
 
 from __future__ import annotations
@@ -147,7 +151,7 @@ def run_simplex(tableau, dens, basis):
 def _phase1(rows, rhs, scale):
     """Set up and run phase 1 on equality rows; returns tableau pieces.
 
-    rows: int coefficient lists (equalities) and rhs: int right-hand
+    rows: int coefficient rows (equalities) and rhs: int right-hand
     sides, all over the common denominator scale.  Each row, with its
     rhs and its artificial column (1, so scale), is sign-fixed to a
     nonnegative rhs and brought to lowest terms.  Returns (tableau,
@@ -247,6 +251,15 @@ def _set_objective(tab, dens, basis, costs, scale):
     dens[-1] = d
 
 
+def _phase2(tab, dens, basis, costs, scale, width):
+    """Minimise costs.x (ints over scale) from a feasible basis over
+    width columns; the optimal basic solution, as _basic_solution."""
+    _set_objective(tab, dens, basis, costs, scale)
+    if run_simplex(tab, dens, basis) != -1:
+        raise LPError("objective unbounded over the region")
+    return _basic_solution(tab, dens, basis, width)
+
+
 # -- integer forms of the data and the witnesses ------------------------------
 
 def _dot(u, v):
@@ -329,27 +342,23 @@ def _hull_input(points, p) -> IntHull:
     return IntHull.build(ints, flat[len(pts) * dim :], scale)
 
 
+def _system(hull):
+    """The hull as standard-form columns and rhs over the common
+    denominator D: w >= 0 with sum_j w_j (Q_j, D) = (P, D)."""
+    d = hull.scale
+    return [q + (d,) for q in hull.points], hull.p + [d]
+
+
 def _weights_phase1(hull):
-    """Phase 1 on sum(w)=1, sum(w q) = target, w >= 0."""
-    rows = [[q[i] for q in hull.points] for i in range(len(hull.p))]
-    rows.append([hull.scale] * len(hull.points))
-    return _phase1(rows, hull.p + [hull.scale], hull.scale)
-
-
-def _verify_weights(w, total, hull):
-    """Weights w / total on the distinct points, verified exactly: with
-    points Q and target P over the common denominator, w >= 0,
-    sum(w) = total and sum(w Q) = total P."""
-    if any(v < 0 for v in w):
-        raise LPInternalError("negative hull weight")
-    if sum(w) != total or _combine(w, hull.points) != [total * c for c in hull.p]:
-        raise LPInternalError("hull weights fail exact recomposition")
+    """Phase 1 on the standard-form system of the hull."""
+    columns, rhs = _system(hull)
+    return _phase1(list(zip(*columns)), rhs, hull.scale)
 
 
 def _checked_weights(w, total, hull):
-    """The verified weights w / total as rationals, spread back onto the
-    input list (first occurrences)."""
-    _verify_weights(w, total, hull)
+    """The weights w / total, verified by _checked_primal, as rationals
+    spread back onto the input list (first occurrences)."""
+    _checked_primal(*_system(hull), (w, total))
     weights = [ZERO] * len(hull.column)
     for j, v in zip(hull.origin, w):
         if v:
@@ -417,10 +426,11 @@ def hull_zero_mass_ints(hull: IntHull, counts: Sequence):
     Phase 1 is the LP of hull_membership, so an outside p gets the same
     verified separator.  Inside, a coordinate counted by a positively
     weighted point has positive mass; for the rest, R, warm-started
-    phase-2 LPs on the same tableau maximise the summed mass of R and
-    drop from R the coordinates that gain mass, until the optimum is 0.
-    Every optimum is recomposed exactly and the final one carries a
-    checked dual vector.  Returns HullOutside or HullZeroMass.
+    _phase2 runs on the same tableau minimise minus the summed mass of
+    R and drop from R the coordinates that gain mass, until the optimum
+    is 0.  Every solution passes _checked_primal, the last one
+    _checked_optimum, and the certificate is its negated duals.  Returns
+    HullOutside or HullZeroMass.
     """
     if len(counts) != len(hull.column):
         raise LPError("one coordinate list per point required")
@@ -439,19 +449,19 @@ def hull_zero_mass_ints(hull: IntHull, counts: Sequence):
     if rest:
         _drive_out_artificials(tab, dens, basis, total)
         _strip_columns(tab, dens, total)
+        columns, rhs = _system(hull)
+    d = hull.scale
     while rest:
-        scores = [len(rest & cs) for cs in column_counts]
-        _set_objective(tab, dens, basis, [-c for c in scores], 1)
-        if run_simplex(tab, dens, basis) != -1:
-            raise LPInternalError("bounded polytope reported unbounded")
-        cols, cols_scale = _basic_solution(tab, dens, basis, total)
-        _verify_weights(cols, cols_scale, hull)
-        if any(w != 0 and c != 0 for w, c in zip(cols, scores)):
-            rest -= _massed(cols, column_counts)
+        # minus the mass of rest, as ints over D
+        costs = [-d * len(rest & cs) for cs in column_counts]
+        primal = _phase2(tab, dens, basis, costs, d, total)
+        if any(w != 0 and c != 0 for w, c in zip(primal[0], costs)):
+            _checked_primal(columns, rhs, primal)
+            rest -= _massed(primal[0], column_counts)
             continue
-        duals, denominator = _zero_mass_certificate(hull, basis, scores)
-        _verify_zero_mass(duals, denominator, hull, counts, rest)
-        *y, y0 = duals
+        duals, denominator = _basis_duals(columns, basis, costs)
+        _checked_optimum(columns, rhs, costs, d, primal, (duals, denominator))
+        *y, y0 = (-v for v in duals)
         certificate = tuple(rat(v, denominator) for v in y), rat(y0, denominator)
         return HullZeroMass(weights, tuple(sorted(rest)), certificate)
     return HullZeroMass(weights, (), None)
@@ -463,32 +473,6 @@ def _massed(cols, column_counts):
         if w != 0:
             out.update(cs)
     return out
-
-
-def _zero_mass_certificate(hull, basis, scores):
-    """Duals (y, y0) of an optimal basis of max scores.w over the hull
-    polytope, as ints over their lcm: y.q_j + y0 = score_j on the basic
-    columns, solved as y.(D q_j, D) = D score_j over the common
-    denominator D."""
-    d = hull.scale
-    columns = [q + (d,) for q in hull.points]
-    return _basis_duals(columns, basis, [d * s for s in scores])
-
-
-def _verify_zero_mass(duals, denominator, hull, counts, rest):
-    """With (y, y0) as ints (Y, Y0) over denominator L, and points Q and
-    target P over the common denominator D: Y.P + D Y0 = 0 (the value
-    y.p + y0 is zero), and Y.Q_h + D Y0 >= L D |rest & counts[h]| for
-    every input point h (dual feasibility)."""
-    *y, y0 = duals
-    shift = hull.scale * y0
-    if _dot(y, hull.p) + shift != 0:
-        raise LPInternalError("zero-mass certificate has a nonzero value")
-    values = [_dot(y, q) + shift for q in hull.points]
-    unit = denominator * hull.scale
-    for j, cs in zip(hull.column, counts):
-        if values[j] < unit * len(rest.intersection(cs)):
-            raise LPInternalError("zero-mass certificate fails dual feasibility")
 
 
 # -- Euclidean projection onto a hull ---------------------------------------
@@ -644,27 +628,22 @@ def linear_range_ints(columns: Sequence, rhs: Sequence, costs: Sequence, scale: 
     Returns (lo, hi), or None when no such x exists.  The objective must
     be bounded below and above on the region; the extension LPs satisfy
     that through a normalising row.  The maximum is the negated minimum
-    of -costs, so both ends share phase 1.  Each end is returned, as a
-    rational, only after _checked_optimum has verified it against the
-    duals of its basis.
+    of -costs, so both ends share phase 1 and run _phase2 on copies of
+    its tableau.  Each end is returned, as a rational, only after
+    _checked_optimum has verified it against the duals of its basis.
     """
-    tab, dens, basis, _flips, total = _phase1([list(row) for row in zip(*columns)], rhs, scale)
+    tab, dens, basis, _flips, total = _phase1(list(zip(*columns)), rhs, scale)
     if tab[-1][-1] != 0:
         return None
     _drive_out_artificials(tab, dens, basis, total)
     _strip_columns(tab, dens, total)
     ends = []
     for sign in (1, -1):
-        # the pivots replace rows and never mutate them
-        work = tab[:]
-        wdens = dens[:]
-        wbasis = basis[:]
         signed = [sign * v for v in costs]
-        _set_objective(work, wdens, wbasis, signed, scale)
-        if run_simplex(work, wdens, wbasis) != -1:
-            raise LPError("objective unbounded over the region")
-        primal = _basic_solution(work, wdens, wbasis, total)
-        dual = _basis_duals(columns, wbasis, signed)
+        # the pivots replace rows and never mutate them
+        end_basis = basis[:]
+        primal = _phase2(tab[:], dens[:], end_basis, signed, scale, total)
+        dual = _basis_duals(columns, end_basis, signed)
         ends.append(sign * _checked_optimum(columns, rhs, signed, scale, primal, dual))
     return ends[0], ends[1]
 
@@ -678,19 +657,26 @@ def _basis_duals(columns, basis, costs):
     return solved
 
 
-def _checked_optimum(cols, b, costs, scale, primal, dual):
-    """costs.x, once x and y are verified to prove it the minimum.
-
-    cols, b and costs are ints over the common denominator scale; the
-    primal x and the dual y are ints X and Y over Lx and Ly.  Checked:
-    X >= 0 and sum_j X_j cols[j] = Lx b (primal), Y.cols[j] <= Ly
-    costs[j] for every j (dual), and Lx Y.b = Ly costs.X (equal values).
-    The value is costs.X / (Lx scale)."""
+def _checked_primal(cols, b, primal):
+    """Checks the primal x, ints X over Lx, against the int columns cols
+    and rhs b: X >= 0 and sum_j X_j cols[j] = Lx b."""
     x, x_scale = primal
     if any(v < 0 for v in x):
         raise LPInternalError("negative primal value")
     if _combine(x, cols) != [x_scale * v for v in b]:
         raise LPInternalError("primal solution fails exact feasibility")
+
+
+def _checked_optimum(cols, b, costs, scale, primal, dual):
+    """costs.x, once x and y are verified to prove it the minimum.
+
+    cols, b and costs are ints over the common denominator scale; the
+    primal x and the dual y are ints X and Y over Lx and Ly.  Checked:
+    _checked_primal (primal), Y.cols[j] <= Ly costs[j] for every j
+    (dual), and Lx Y.b = Ly costs.X (equal values).  The value is
+    costs.X / (Lx scale)."""
+    _checked_primal(cols, b, primal)
+    x, x_scale = primal
     y, y_scale = dual
     if any(_dot(y, col) > y_scale * cost for col, cost in zip(cols, costs)):
         raise LPInternalError("duals fail exact dual feasibility")

@@ -152,43 +152,27 @@ def _interval_problem(x, y, connective, logic, universe, verdicts):
     return ExtensionProblem(verdicts[(x, y)], target)
 
 
-def compute_interval_row(
-    connective: str,
-    logic: str,
-    step,
-    universe=None,
-    confirm_endpoints: bool = True,
-    verdicts=None,
-) -> IntervalRow:
-    """Sweep of one operator over the grid, with closed-form comparison
-    and exact coherence checks of the closed-form endpoints.  verdicts:
-    a dict of base verdicts shared by rows over the same universe (see
-    _interval_problem); a fresh one by default."""
-    u = free_universe() if universe is None else universe
-    verdicts = {} if verdicts is None else verdicts
-    row = IntervalRow(connective, logic)
-    values = grid_values(step)
-    for x in values:
-        for y in values:
-            problem = _interval_problem(x, y, connective, logic, u, verdicts)
-            bounds = problem.bounds()
-            closed = closed_form_interval(connective, logic, x, y)
-            if confirm_endpoints:
-                if not (
-                    problem.coherent_at(closed[0]) and problem.coherent_at(closed[1])
-                ):
-                    row.endpoints_confirmed = False
-            row.cells.append(IntervalCell(x, y, bounds, closed))
-    return row
-
-
-def compute_intervals(step, confirm_endpoints: bool = True) -> list:
+def compute_intervals(step) -> list:
+    """Sweep of every operator over the grid, with closed-form
+    comparison and exact coherence checks of the closed-form endpoints.
+    The rows share one universe and one dict of base verdicts (see
+    _interval_problem)."""
     u = free_universe()
     verdicts = {}
-    return [
-        compute_interval_row(c, l, step, u, confirm_endpoints, verdicts)
-        for c, l in OPERATORS
-    ]
+    values = grid_values(step)
+    rows = []
+    for connective, logic in OPERATORS:
+        row = IntervalRow(connective, logic)
+        for x in values:
+            for y in values:
+                problem = _interval_problem(x, y, connective, logic, u, verdicts)
+                bounds = problem.bounds()
+                closed = closed_form_interval(connective, logic, x, y)
+                if not (problem.coherent_at(closed[0]) and problem.coherent_at(closed[1])):
+                    row.endpoints_confirmed = False
+                row.cells.append(IntervalCell(x, y, bounds, closed))
+        rows.append(row)
+    return rows
 
 
 # -- the property table -------------------------------------------------------
@@ -355,10 +339,9 @@ def _p6_half_star(connective: str, logic: str, interval_rows) -> StarCell:
     return StarCell(True)
 
 
-def compute_star_table(step, interval_rows=None) -> dict:
-    """Property-satisfaction matrix: {(property, logic): StarCell}."""
-    if interval_rows is None:
-        interval_rows = compute_intervals(step, confirm_endpoints=False)
+def compute_star_table(step, interval_rows) -> dict:
+    """Property-satisfaction matrix: {(property, logic): StarCell}, the
+    interval properties read from compute_intervals(step)."""
     table = {}
     for logic in LOGICS:
         for prop in ("P1", "P2a", "P2b", "P2c", "P3"):

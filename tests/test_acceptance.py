@@ -131,7 +131,7 @@ def test_criterion_3_hull_necessary_not_sufficient(capsys):
 
 
 def test_criterion_4_intervals_table(capsys):
-    rows = compute_intervals(rat(1, 10), confirm_endpoints=True)
+    rows = compute_intervals(rat(1, 10))
     for row in rows:
         assert row.max_gap() == 0, (row.connective, row.logic)
         assert row.endpoints_confirmed, (row.connective, row.logic)
@@ -155,7 +155,7 @@ def test_criterion_4_intervals_table(capsys):
 
 
 def test_criterion_5_property_table(capsys):
-    star = compute_star_table(rat(1, 4))
+    star = compute_star_table(rat(1, 4), compute_intervals(rat(1, 4)))
     for prop in PROPERTY_ROWS:
         for logic in LOGICS:
             cell = star[(prop, logic)]

@@ -303,7 +303,6 @@ def test_gs_and_n_reduces_to_binary():
     conj_n = gs_and_n([AH, BK], prevs, u)
     conj_2 = gs_and(AH, BK, x, y, u)
     assert expand(conj_n.levels, len(u)) == expand(conj_2.levels, len(u))
-    assert conj_n.conditioning is not None
     # unary case: the operand's indicator
     single = gs_and_n([AH], {(0,): x}, u)
     expected = expand(world_levels(AH, u), len(u))

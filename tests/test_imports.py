@@ -63,3 +63,25 @@ def test_lp_exports_only_what_the_library_calls():
             if isinstance(node, ast.ImportFrom) and node.module in ("lp", "cohkit.lp"):
                 imported.update(alias.name for alias in node.names)
     assert sorted(public - called - imported) == []
+
+
+def test_simplex_runs_only_inside_the_two_phases():
+    """run_simplex and _set_objective are called in lp.py only from
+    _phase1 and _phase2, so every LP goes through one phase-1 and one
+    phase-2 routine."""
+    tree = ast.parse((Path(cohkit.__file__).parent / "lp.py").read_text())
+    callers = set()
+    for function in tree.body:
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("run_simplex", "_set_objective")
+                ):
+                    callers.add((function.name, node.func.id))
+    assert sorted(callers) == [
+        ("_phase1", "run_simplex"),
+        ("_phase2", "_set_objective"),
+        ("_phase2", "run_simplex"),
+    ]

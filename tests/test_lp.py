@@ -469,7 +469,7 @@ def test_checked_weights_rejects_nudged_weights():
     hull = kernel._hull_input([(0, 0), (1, 1), (0, 0)], (HALF, HALF))
     assert kernel._checked_weights(*integer_row([HALF, HALF]), hull) == (HALF, HALF, 0)
     for cols in ([HALF + NUDGE, HALF], [HALF + NUDGE, HALF - NUDGE]):
-        with pytest.raises(LPInternalError, match="recomposition"):
+        with pytest.raises(LPInternalError, match="exact feasibility"):
             kernel._checked_weights(*integer_row(cols), hull)
 
 
@@ -503,15 +503,30 @@ def _zero_mass_case():
 
 
 def test_verify_zero_mass_rejects_nudged_certificates():
+    # the zero-mass optimum of coordinate 0 over the standard-form system:
+    # costs -D |{0} & counts| per distinct point, the phase-1 weights as
+    # the primal and the negated certificate as the duals
     points, target, counts = _zero_mass_case()
-    (y1, y2), y0 = hull_zero_mass_ints(kernel._hull_input(points, target), counts).certificate
     hull = kernel._hull_input(points, target)
-    kernel._verify_zero_mass(*integer_row([y1, y2, y0]), hull, counts, {0})
-    with pytest.raises(LPInternalError, match="nonzero value"):
-        kernel._verify_zero_mass(*integer_row([y1, y2, y0 + NUDGE]), hull, counts, {0})
+    outcome = hull_zero_mass_ints(hull, counts)
+    (y1, y2), y0 = outcome.certificate
+    columns, rhs = kernel._system(hull)
+    column_counts = [set() for _ in columns]
+    for j, cs in zip(hull.column, counts):
+        column_counts[j].update(cs)
+    costs = [-hull.scale * len({0} & cs) for cs in column_counts]
+    primal = integer_row([outcome.weights[h] for h in hull.origin])
+
+    def optimum(*certificate):
+        dual = integer_row([-v for v in certificate])
+        return kernel._checked_optimum(columns, rhs, costs, hull.scale, primal, dual)
+
+    assert optimum(y1, y2, y0) == 0
+    with pytest.raises(LPInternalError, match="primal and dual values differ"):
+        optimum(y1, y2, y0 + NUDGE)
     # the value y.p + y0 stays 0, but y.q + y0 drops below 1 at (0, 0)
-    with pytest.raises(LPInternalError, match="dual feasibility"):
-        kernel._verify_zero_mass(*integer_row([y1, y2 + NUDGE, y0 - NUDGE]), hull, counts, {0})
+    with pytest.raises(LPInternalError, match="duals fail exact dual feasibility"):
+        optimum(y1, y2 + NUDGE, y0 - NUDGE)
 
 
 def test_checked_projection_rejects_a_point_that_is_not_the_projection():
