@@ -42,6 +42,9 @@ def _load(path: str):
             text = handle.read()
     except OSError as exc:
         raise FileFormatError(0, f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise FileFormatError(line, f"not UTF-8: {exc.reason} at byte {exc.start}") from exc
     return parse_assessment_file(text)
 
 

@@ -10,8 +10,9 @@ at every hull solution form the next subfamily; the check ends coherent
 when there are none, and incoherent at the first subfamily outside its
 hull.  That takes at most n rounds for n members.  The all-void
 constituent is excluded throughout (its point is the assessment itself).
-Coherent-extension intervals follow the same iteration, with a pair of
-endpoint LPs per round (see _extension_interval).
+One generator, _rounds, runs the iteration.  Coherent-extension
+intervals read the same rounds on the target-void patterns, with a pair
+of endpoint LPs per round (see _extension_interval).
 
 The same machinery accepts generalized members given as disjoint
 (value, world bitset) levels, void elsewhere, which is how conditional
@@ -26,6 +27,7 @@ from typing import Optional, Sequence
 from .events import Universe, conditional_sets, refine
 from .lp import (
     HullOutside,
+    HullZeroMass,
     IntHull,
     hull_membership,
     hull_projection_ints,
@@ -225,15 +227,11 @@ class MemberTable:
         points = [tuple([d[rank] for d, rank in zip(decode, pattern)]) for pattern in ranks]
         return IntHull.build(points, [values[i] for i in subset], scale)
 
-    def subfamily_hull(self, subset: tuple, ranks: Optional[Sequence] = None):
-        """One round on the subfamily (or on a selection of its rank
-        patterns): HullOutside, or HullZeroMass whose zero_mass holds the
-        positions in subset of the members with zero antecedent mass at
-        every hull solution."""
-        if ranks is None:
-            ranks = self.rank_patterns(subset)
-        if not ranks:
-            raise CoherenceError("subfamily has no effective constituent")
+    def subfamily_hull(self, subset: tuple, ranks: Sequence):
+        """One round on a selection of the subfamily's rank patterns:
+        HullOutside, or HullZeroMass whose zero_mass holds the positions
+        in subset of the members with zero antecedent mass at every hull
+        solution."""
         voids = [len(self.members[i]) for i in subset]
         effective = [
             [k for k, (rank, void) in enumerate(zip(pattern, voids)) if rank != void]
@@ -242,32 +240,35 @@ class MemberTable:
         return hull_zero_mass_ints(self.int_hull(subset, ranks), effective)
 
 
+def _rounds(table: MemberTable, subset: tuple, ranks_of):
+    """Gilio's iteration from the subfamily: per round (subset, outcome),
+    the outcome the subfamily_hull of the patterns ranks_of(subset), or
+    None where there are none.  A HullZeroMass continues with its
+    zero-mass members; anything else, or an empty subset, ends it."""
+    while subset:
+        ranks = ranks_of(subset)
+        outcome = table.subfamily_hull(subset, ranks) if ranks else None
+        yield subset, outcome
+        if not isinstance(outcome, HullZeroMass):
+            return
+        subset = tuple(subset[k] for k in outcome.zero_mass)
+
+
 def _gilio_check(table: MemberTable, assessment=None, universe=None) -> CoherenceVerdict:
     """Gilio's check (see check_coherence) on the members of a table:
-    each round tests the current subfamily and continues with its
-    zero-antecedent-mass members."""
+    the rounds of _rounds on every pattern, from the whole family."""
     held = {"assessment": assessment, "universe": universe, "_table": table}
-    subset = tuple(range(len(table.members)))
-    rounds = []
-    full_weights = None
-    while True:
-        rounds.append(subset)
-        outcome = table.subfamily_hull(subset)
-        if isinstance(outcome, HullOutside):
-            support = [k for k, s in enumerate(outcome.separator) if s != 0]
-            return CoherenceVerdict(
-                False,
-                tuple(subset[k] for k in support),
-                tuple(outcome.separator[k] for k in support),
-                None,
-                tuple(rounds),
-                **held,
-            )
-        if full_weights is None:
-            full_weights = outcome.weights
-        if not outcome.zero_mass:
-            return CoherenceVerdict(True, None, None, full_weights, tuple(rounds), **held)
-        subset = tuple(subset[k] for k in outcome.zero_mass)
+    everyone = tuple(range(len(table.members)))
+    rounds, outcomes = zip(*_rounds(table, everyone, table.rank_patterns))
+    last = outcomes[-1]
+    if last is None:
+        raise CoherenceError("subfamily has no effective constituent")
+    if isinstance(last, HullOutside):
+        support = [k for k, s in enumerate(last.separator) if s != 0]
+        failing = tuple(rounds[-1][k] for k in support)
+        stakes = tuple(last.separator[k] for k in support)
+        return CoherenceVerdict(False, failing, stakes, None, rounds, **held)
+    return CoherenceVerdict(True, None, None, outcomes[0].weights, rounds, **held)
 
 
 # -- public operations on assessments ---------------------------------------
@@ -400,39 +401,38 @@ def _extension_interval(table: MemberTable) -> ExtensionBounds:
     """Gilio's iteration for the extension of a coherent base (every
     member of the table but the last) to the target (the last member).
 
-    Round J (at first the whole base) ranges the target's prevision
-    sum_h lambda_h t_h over lambda >= 0 on the constituents of J plus
-    the target, with unit mass where the target is non-void (the
-    Charnes-Cooper normalisation) and a fair bet on every member of J;
-    every value in that range is coherent.  Values outside it need the
-    target's mass to be zero, so the base values of J must lie in the
-    hull of the target-void constituents; if they do, the next round
-    runs on the members of J with zero mass throughout that hull.  The
-    interval is the hull of the ranges found (Biazzo & Gilio, IJAR 24,
-    2000).  At most n + 1 rounds for n base members.
+    Round J ranges the target's prevision sum_h lambda_h t_h over
+    lambda >= 0 on the constituents of J plus the target, with unit mass
+    where the target is non-void (the Charnes-Cooper normalisation) and
+    a fair bet on every member of J; every value in that range is
+    coherent.  Values outside it need the target's mass to be zero, so
+    the base values of J must lie in the hull of the target-void
+    constituents; if they do, the next round runs on the members of J
+    with zero mass throughout that hull.  So the subsets J are the
+    check's rounds (_rounds) on the target-void patterns, from the whole
+    base, plus the empty subset when the last of them leaves no member
+    at zero mass.  The interval is the hull of the ranges found (Biazzo
+    & Gilio, IJAR 24, 2000).  At most n + 1 rounds for n base members.
     """
     target = len(table.members) - 1
     target_void = len(table.members[target])
-    subset = tuple(range(target))
-    lower = upper = None
-    rounds = []
-    while True:
-        rounds.append(subset)
+
+    def void_ranks(subset):
         ranks = table.rank_patterns(subset + (target,))
-        found = linear_range_ints(*_target_program(table, subset, ranks))
-        if found is not None:
-            lower = found[0] if lower is None else min(lower, found[0])
-            upper = found[1] if upper is None else max(upper, found[1])
-        void = [pattern[:-1] for pattern in ranks if pattern[-1] == target_void]
-        if not subset or not void:
-            break
-        outcome = table.subfamily_hull(subset, void)
-        if isinstance(outcome, HullOutside):
-            break
-        subset = tuple(subset[k] for k in outcome.zero_mass)
-    if lower is None:
+        return [pattern[:-1] for pattern in ranks if pattern[-1] == target_void]
+
+    rounds, outcomes = zip(*_rounds(table, tuple(range(target)), void_ranks))
+    if isinstance(outcomes[-1], HullZeroMass):
+        rounds += ((),)
+    found = [
+        linear_range_ints(*_target_program(table, subset, table.rank_patterns(subset + (target,))))
+        for subset in rounds
+    ]
+    found = [ends for ends in found if ends is not None]
+    if not found:
         raise CoherenceError("empty extension interval for a coherent base")
-    return ExtensionBounds(lower, upper, tuple(rounds))
+    lowers, uppers = zip(*found)
+    return ExtensionBounds(min(lowers), max(uppers), rounds)
 
 
 def _target_program(table: MemberTable, subset: tuple, ranks) -> tuple:

@@ -32,7 +32,7 @@ over x >= 0 on equality rows (both ends, each proved optimal by its
 primal solution and a dual vector), and the exact Euclidean projection
 onto a hull that the penalty dominator uses.  The zero-mass rounds and
 the range ends run one phase-2 routine, _phase2, on standard-form
-columns (a hull is the system of _system) and pass one check,
+columns (a hull is its IntHull.system) and pass one check,
 _checked_optimum, whose primal half, _checked_primal, checks every hull
 weight too.
 """
@@ -300,7 +300,9 @@ class IntHull:
     points: the distinct points as int tuples, in order of first
     occurrence (the phase-1 columns); p: the target.  origin[j] is the
     input index of point j's first occurrence, column[h] the index in
-    points of input point h.
+    points of input point h.  system: the standard-form columns and rhs
+    over D, w >= 0 with sum_j w_j (Q_j, D) = (P, D), built once per
+    query.
     """
 
     points: list
@@ -308,6 +310,7 @@ class IntHull:
     scale: int
     origin: list
     column: list
+    system: tuple
 
     @staticmethod
     def build(points: Sequence, p: Sequence, scale: int) -> "IntHull":
@@ -323,7 +326,9 @@ class IntHull:
                 unique.append(q)
                 origin.append(h)
             column.append(j)
-        return IntHull(unique, list(p), scale, origin, column)
+        target = list(p)
+        system = ([q + (scale,) for q in unique], target + [scale])
+        return IntHull(unique, target, scale, origin, column, system)
 
 
 def _hull_input(points, p) -> IntHull:
@@ -342,23 +347,16 @@ def _hull_input(points, p) -> IntHull:
     return IntHull.build(ints, flat[len(pts) * dim :], scale)
 
 
-def _system(hull):
-    """The hull as standard-form columns and rhs over the common
-    denominator D: w >= 0 with sum_j w_j (Q_j, D) = (P, D)."""
-    d = hull.scale
-    return [q + (d,) for q in hull.points], hull.p + [d]
-
-
 def _weights_phase1(hull):
     """Phase 1 on the standard-form system of the hull."""
-    columns, rhs = _system(hull)
+    columns, rhs = hull.system
     return _phase1(list(zip(*columns)), rhs, hull.scale)
 
 
 def _checked_weights(w, total, hull):
     """The weights w / total, verified by _checked_primal, as rationals
     spread back onto the input list (first occurrences)."""
-    _checked_primal(*_system(hull), (w, total))
+    _checked_primal(*hull.system, (w, total))
     weights = [ZERO] * len(hull.column)
     for j, v in zip(hull.origin, w):
         if v:
@@ -449,7 +447,7 @@ def hull_zero_mass_ints(hull: IntHull, counts: Sequence):
     if rest:
         _drive_out_artificials(tab, dens, basis, total)
         _strip_columns(tab, dens, total)
-        columns, rhs = _system(hull)
+    columns, rhs = hull.system
     d = hull.scale
     while rest:
         # minus the mass of rest, as ints over D

@@ -256,6 +256,13 @@ def test_non_ascii_digits_exit_two_with_line_number(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_non_utf8_input_exits_two_with_line_number(tmp_path, capsys):
+    bad = tmp_path / "latin.coh"
+    bad.write_bytes(b"atoms A\nevent e = \xff\nassess e = 1/2\n")
+    assert main(["check", str(bad)]) == 2
+    assert "line 2:" in capsys.readouterr().err
+
+
 def run_captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -282,7 +282,7 @@ def test_member_table_scans_worlds_once(monkeypatch):
     subsets = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
     for subset in subsets:
         table.hull_rows(subset)
-        table.subfamily_hull(subset)
+        table.subfamily_hull(subset, table.rank_patterns(subset))
     assert len(scans) == 1
     # one check_coherence call scans the worlds once
     scans.clear()

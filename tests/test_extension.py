@@ -21,14 +21,15 @@ from cohkit.coherence import (
 )
 from cohkit.events import Atom, TOP, Universe
 from cohkit.rationals import ZERO, integer_row, rat
-from cohkit.trivalent import ConditionalEvent
+from cohkit.tables import build_target
+from cohkit.trivalent import ConditionalEvent, free_universe
 
 from oracles import bisection_brackets, expand, extension_oracle, rational_range
 from test_differential import _event, random_setting
 
 BASES = 300
 TOLERANCE = rat(1, 2**6)
-A, H = Atom("A"), Atom("H")
+A, B, H, K = (Atom(name) for name in "ABHK")
 
 
 def _extension_case(rng):
@@ -84,6 +85,33 @@ def test_ratio_forced_bases(y, z):
     base = Assessment.build([ConditionalEvent(H, TOP), ConditionalEvent(A & H, TOP)], [y, z])
     bounds = extension_bounds(base, ConditionalEvent(A, H), u)
     assert (bounds.lower, bounds.upper) == (z / y, z / y)
+
+
+@pytest.mark.parametrize(
+    "x, y, target, rounds, lower, upper",
+    [
+        # no target-void pattern on the whole base
+        (0, 0, "S-or", ((0, 1),), 0, 0),
+        # none on the one zero-mass member either, in round 2
+        (0, 0, "H|K", ((0, 1), (1,)), 0, 1),
+        # no base member at zero mass: a last round on the empty subset
+        (0, 0, "B-and", ((0, 1), ()), 0, 1),
+        # the base outside its target-void hull, in round 1 and round 2
+        (0, 0, "K-and", ((0, 1),), 0, 0),
+        (0, 1, "K-and", ((0, 1), (0,)), 0, 0),
+    ],
+)
+def test_extension_round_sequences(x, y, target, rounds, lower, upper):
+    # the rounds are Gilio's on the target-void patterns, from A|H, B|K
+    u = free_universe()
+    ah, bk = ConditionalEvent(A, H), ConditionalEvent(B, K)
+    if target == "H|K":
+        target = ConditionalEvent(H, K)
+    else:
+        logic, connective = target.split("-")
+        target = build_target(connective, logic, ah, bk, x, y, u)
+    bounds = extension_bounds(Assessment.build([ah, bk], [x, y]), target, u)
+    assert (bounds.rounds, bounds.lower, bounds.upper) == (rounds, lower, upper)
 
 
 def _corrupt_duals(monkeypatch, corrupt):

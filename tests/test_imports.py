@@ -85,3 +85,20 @@ def test_simplex_runs_only_inside_the_two_phases():
         ("_phase2", "_set_objective"),
         ("_phase2", "run_simplex"),
     ]
+
+
+def test_only_the_round_driver_runs_subfamily_hulls():
+    """In coherence.py, subfamily_hull is called only from _rounds, so
+    Gilio's check and the extension run one iteration."""
+    tree = ast.parse((Path(cohkit.__file__).parent / "coherence.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        functions += [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+    callers = {
+        function.name
+        for function in functions
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "subfamily_hull"
+    }
+    assert sorted(callers) == ["_rounds"]

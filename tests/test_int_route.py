@@ -126,10 +126,8 @@ def compared(monkeypatch):
     hull = MemberTable.subfamily_hull
     program = coherence._target_program
 
-    def checked_hull(table, subset, ranks=None):
+    def checked_hull(table, subset, ranks):
         outcome = hull(table, subset, ranks)
-        if ranks is None:
-            ranks = table.rank_patterns(subset)
         patterns = _decoded(table, subset, ranks)
         effective = [[k for k, e in enumerate(p) if e is not None] for p in patterns]
         values = [table.values[i] for i in subset]

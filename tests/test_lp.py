@@ -510,7 +510,7 @@ def test_verify_zero_mass_rejects_nudged_certificates():
     hull = kernel._hull_input(points, target)
     outcome = hull_zero_mass_ints(hull, counts)
     (y1, y2), y0 = outcome.certificate
-    columns, rhs = kernel._system(hull)
+    columns, rhs = hull.system
     column_counts = [set() for _ in columns]
     for j, cs in zip(hull.column, counts):
         column_counts[j].update(cs)
