@@ -10,7 +10,10 @@ at every hull solution form the next subfamily; the check ends coherent
 when there are none, and incoherent at the first subfamily outside its
 hull.  That takes at most n rounds for n members.  The all-void
 constituent is excluded throughout (its point is the assessment itself).
-One generator, _rounds, runs the iteration.  Coherent-extension
+One generator, _rounds, runs the iteration.  A round whose members are
+all assessed at the top or bottom of their levels (an event at 0 or 1)
+is decided in closed form, with no LP (_extreme_round), which is how
+p-consistency and p-entailment are checked.  Coherent-extension
 intervals read the same rounds on the target-void patterns, with a pair
 of endpoint LPs per round (see _extension_interval).
 
@@ -22,6 +25,7 @@ random quantities from cohkit.compound are checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Optional, Sequence
 
 from .events import Universe, conditional_sets, refine
@@ -29,6 +33,7 @@ from .lp import (
     HullOutside,
     HullZeroMass,
     IntHull,
+    LPInternalError,
     hull_membership,
     hull_projection_ints,
     hull_zero_mass_ints,
@@ -217,27 +222,136 @@ class MemberTable:
             for pattern in patterns
         ]
 
+    def _points(self, subset: tuple, ranks: Sequence) -> list:
+        """The int points of rank patterns of the subfamily, over D."""
+        levels = self.int_form()[0]
+        decode = [levels[i] for i in subset]
+        return [tuple([d[rank] for d, rank in zip(decode, pattern)]) for pattern in ranks]
+
     def int_hull(self, subset: tuple, ranks: Optional[Sequence] = None) -> IntHull:
         """hull_rows of the subfamily (or of a selection of its rank
         patterns) and its values, as an IntHull over the table's D."""
         if ranks is None:
             ranks = self.rank_patterns(subset)
-        levels, values, scale = self.int_form()
-        decode = [levels[i] for i in subset]
-        points = [tuple([d[rank] for d, rank in zip(decode, pattern)]) for pattern in ranks]
-        return IntHull.build(points, [values[i] for i in subset], scale)
+        _levels, values, scale = self.int_form()
+        return IntHull.build(self._points(subset, ranks), [values[i] for i in subset], scale)
+
+    def _extreme_signs(self, subset: tuple) -> Optional[list]:
+        """Per member of the subfamily -1 when it is assessed at its top
+        level and +1 at its bottom level (-1 when they are one level);
+        None when some member is assessed at neither."""
+        levels, values, _scale = self.int_form()
+        signs = []
+        for i in subset:
+            if values[i] == levels[i][0]:
+                signs.append(-1)
+            elif values[i] == levels[i][-2]:
+                signs.append(1)
+            else:
+                return None
+        return signs
 
     def subfamily_hull(self, subset: tuple, ranks: Sequence):
         """One round on a selection of the subfamily's rank patterns:
         HullOutside, or HullZeroMass whose zero_mass holds the positions
         in subset of the members with zero antecedent mass at every hull
-        solution."""
+        solution.  A subfamily assessed at the top or bottom of every
+        member's levels is decided in closed form (_extreme_round), any
+        other by the LPs of hull_zero_mass_ints."""
         voids = [len(self.members[i]) for i in subset]
+        signs = self._extreme_signs(subset)
+        if signs is not None:
+            _levels, values, scale = self.int_form()
+            p = [values[i] for i in subset]
+            return _extreme_round(self._points(subset, ranks), p, scale, signs, ranks, voids)
         effective = [
             [k for k, (rank, void) in enumerate(zip(pattern, voids)) if rank != void]
             for pattern in ranks
         ]
         return hull_zero_mass_ints(self.int_hull(subset, ranks), effective)
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _extreme_round(points, p, scale, signs, ranks, voids):
+    """The round of subfamily_hull, without an LP, on the int points Q
+    and target P over D of a subfamily whose member k is assessed at its
+    top level (signs[k] = -1) or its bottom level (+1); ranks are the
+    points' rank patterns, voids[k] the rank where member k is void.
+
+    Every coordinate of s (q - p), s the signs, is then >= 0, and zero
+    exactly where member k is void or at its assessed level.  So the
+    fair-bet row of member k gives zero weight to every constituent
+    where it takes another level, and gap(q) = s.(q - p) is zero exactly
+    on the free patterns, those where no member does, whose point is p.
+    The hull solutions are the distributions on the free patterns: the
+    tolerance test of p-consistency (Goldszmidt & Pearl, AI 52, 1991;
+    Gilio, AMAI 34, 2002).
+
+    With no free pattern, p is outside, and s, zeroed on the members
+    that no pattern violates, separates it with margin min gap.  Else
+    the weights put 1 on the first free pattern, zero_mass holds the
+    members void on every free pattern, and the certificate is y = c s,
+    y0 = -y.p, with c the least for which c gap(q_h) covers the number
+    of zero-mass members that count pattern h.  Each witness is checked
+    on every point before it is returned.
+    """
+    base = _dot(signs, p)
+    gaps = [_dot(signs, q) - base for q in points]
+    free = [h for h, gap in enumerate(gaps) if gap == 0]
+    if not free:
+        violated = [any(q[k] != p[k] for q in points) for k in range(len(p))]
+        separator = tuple(rat(s) if v else ZERO for s, v in zip(signs, violated))
+        outside = HullOutside(separator, rat(min(gaps), scale))
+        _checked_outside(outside, points, p, scale)
+        return outside
+    weights = [ZERO] * len(points)
+    weights[free[0]] = ONE
+    zero_mass = tuple(k for k, void in enumerate(voids) if all(ranks[h][k] == void for h in free))
+    if not zero_mass:
+        return HullZeroMass(tuple(weights), (), None)
+    counts = [sum(1 for k in zero_mass if pattern[k] != voids[k]) for pattern in ranks]
+    # c = D max(n / gap), the ratios compared as int cross products
+    most, least = 0, 1
+    for n, gap in zip(counts, gaps):
+        if n * least > most * gap:
+            most, least = n, gap
+    c = rat(most * scale, least)
+    y = tuple(c * s for s in signs)
+    certificate = (y, -c * rat(base, scale))
+    _checked_certificate(certificate, points, p, scale, counts)
+    return HullZeroMass(tuple(weights), zero_mass, certificate)
+
+
+def _checked_outside(outside: HullOutside, points, p, scale) -> None:
+    """Checks a separator s against the int points Q and target P over
+    D, with s as ints S over L: the largest |S_k| is L, S.(Q - P) > 0 for
+    every point, and the margin is the least of them over L D."""
+    ints, unit = integer_row(outside.separator)
+    if max(map(abs, ints)) != unit:
+        raise LPInternalError("separator is not normalized")
+    least = min(_dot(ints, q) for q in points) - _dot(ints, p)
+    if least <= 0:
+        raise LPInternalError("separator fails strictness check")
+    if rat(least, unit * scale) != outside.margin:
+        raise LPInternalError("margin is not the least gain")
+
+
+def _checked_certificate(certificate, points, p, scale, counts) -> None:
+    """Checks a zero-mass certificate (y, y0) against the int points Q
+    and target P over D, with (y, y0) as ints (Y, Y0) over L: Y.P + Y0 D
+    = 0, and Y.Q_h + Y0 D >= counts[h] L D for every point h, which is
+    y.q_h + y0 >= counts[h]."""
+    y, y0 = certificate
+    ints, unit = integer_row(list(y) + [y0])
+    *ys, y0s = ints
+    if _dot(ys, p) + y0s * scale != 0:
+        raise LPInternalError("certificate is not zero at the target")
+    for q, n in zip(points, counts):
+        if _dot(ys, q) + y0s * scale < n * unit * scale:
+            raise LPInternalError("certificate fails a constituent")
 
 
 def _rounds(table: MemberTable, subset: tuple, ranks_of):

@@ -447,7 +447,9 @@ def p_entails(problem: ExtensionProblem) -> bool:
     or [0, 1]: hull mass is pinned to constituents where no member fails,
     so the target value is either free (some such constituent leaves the
     target void), or spans the hull of plain 0/1 indicator values.  Two
-    exact tests therefore decide the interval.  problem: the
+    exact tests therefore decide the interval.  Every round of both has
+    its members at 0 or 1, so each is decided in closed form, without an
+    LP (see cohkit.coherence._extreme_round).  problem: the
     entailment_problem of the premises' verdict and the target.
     """
     _unit_premises(problem.verdict)

@@ -43,9 +43,16 @@ class FormulaSyntaxError(EventError):
 
 
 class Formula:
-    """Expression tree over atoms with ~, &, | and the constants."""
+    """Expression tree over atoms with ~, &, | and the constants.
 
-    __slots__ = ()
+    Each node stores its hash at construction, from its fields, whose
+    own hashes are stored, so hashing a formula (as the bitset caches do
+    on every lookup) costs one tuple hash, not a walk of the subtree."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __and__(self, other: "Formula") -> "Formula":
         return And(self, other)
@@ -65,16 +72,28 @@ class Formula:
         return _render(self, 0)
 
 
+def _store_hash(node: Formula, key: tuple) -> None:
+    object.__setattr__(node, "_hash", hash(key))
+
+
 @dataclass(frozen=True)
 class Atom(Formula):
     __slots__ = ("name",)
     name: str
+    __hash__ = Formula.__hash__
+
+    def __post_init__(self) -> None:
+        _store_hash(self, ("Atom", self.name))
 
 
 @dataclass(frozen=True)
 class Not(Formula):
     __slots__ = ("operand",)
     operand: Formula
+    __hash__ = Formula.__hash__
+
+    def __post_init__(self) -> None:
+        _store_hash(self, ("Not", self.operand))
 
 
 @dataclass(frozen=True)
@@ -82,6 +101,10 @@ class And(Formula):
     __slots__ = ("left", "right")
     left: Formula
     right: Formula
+    __hash__ = Formula.__hash__
+
+    def __post_init__(self) -> None:
+        _store_hash(self, ("And", self.left, self.right))
 
 
 @dataclass(frozen=True)
@@ -89,12 +112,20 @@ class Or(Formula):
     __slots__ = ("left", "right")
     left: Formula
     right: Formula
+    __hash__ = Formula.__hash__
+
+    def __post_init__(self) -> None:
+        _store_hash(self, ("Or", self.left, self.right))
 
 
 @dataclass(frozen=True)
 class Const(Formula):
     __slots__ = ("value",)
     value: bool
+    __hash__ = Formula.__hash__
+
+    def __post_init__(self) -> None:
+        _store_hash(self, ("Const", self.value))
 
 
 TOP = Const(True)
@@ -276,14 +307,16 @@ def set_bits(bits: int) -> list:
 def _cube_atom_sets(k: int) -> list:
     """Bitset of each atom over the 2^k masks: bit m is set when mask m
     sets the atom's bit, that is 2^i zeros then 2^i ones, repeated by
-    multiplying with the repunit of period 2^(i+1)."""
+    doubling, each shift copying the bits built so far above them."""
     size = 1 << k
-    full = (1 << size) - 1
     out = []
     for i in range(k):
-        half = 1 << i
-        block = ((1 << half) - 1) << half
-        out.append(block * (full // ((1 << 2 * half) - 1)))
+        width = 2 << i
+        bits = ((1 << (1 << i)) - 1) << (1 << i)
+        while width < size:
+            bits |= bits << width
+            width <<= 1
+        out.append(bits)
     return out
 
 

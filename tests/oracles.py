@@ -18,6 +18,9 @@ The projection oracle finds the point of a hull nearest to p by trying
 every subset of the points: the projection onto the subset's affine hull
 counts when its coefficients are nonnegative, and the nearest one wins.
 
+The repunit cube builder is how cohkit.events built the atom bitsets
+over all 2^k masks before it built them by doubling.
+
 The per-world scans are how cohkit built its worlds, constituents,
 member patterns and compound values before it refined world bitsets:
 every world assignment is evaluated one by one with eval_formula.  The
@@ -39,6 +42,11 @@ column of rationals per decoded constituent pattern, for rational_range.
 rational_range and int_rows take rational data to cohkit.lp's int
 cores, converted once with integer_row.
 
+The LP route of a Gilio round is how cohkit ran every round before a
+subfamily assessed at the top or bottom of each member's levels was
+decided in closed form: hull_zero_mass_ints on the subfamily's whole
+hull.  p_entails_lp decides p-entailment with every round so.
+
 The Fraction tableau kernel is the simplex cohkit.lp ran before its
 integer rows, with the pricing cohkit.lp uses now: every entry a
 Fraction, every pivot a Fraction division and subtraction per entry.
@@ -51,7 +59,7 @@ from fractions import Fraction
 
 from cohkit.compound import LinForm, _system_coherent
 from cohkit.events import conditional_sets, eval_formula
-from cohkit.lp import HullOutside, hull_membership, linear_range_ints
+from cohkit.lp import HullOutside, hull_membership, hull_zero_mass_ints, linear_range_ints
 from cohkit.rationals import ONE, ZERO, integer_row, rat
 
 LE, EQ, GE = "<=", "=", ">="
@@ -164,6 +172,20 @@ def world_filter(atoms, constraints):
     for i, a in enumerate(atoms):
         atom_sets[a] = sum(1 << pos for pos, mask in enumerate(worlds) if mask >> i & 1)
     return tuple(worlds), atom_sets
+
+
+def cube_atom_sets(k):
+    """Bitset of each atom over the 2^k masks, as cohkit.events built
+    it before doubling: the block of 2^i zeros then 2^i ones times the
+    repunit of period 2^(i+1), a division that is quadratic in 2^k."""
+    size = 1 << k
+    full = (1 << size) - 1
+    out = []
+    for i in range(k):
+        half = 1 << i
+        block = ((1 << half) - 1) << half
+        out.append(block * (full // ((1 << 2 * half) - 1)))
+    return out
 
 
 def formula_bits(f, universe):
@@ -416,6 +438,79 @@ def target_program(patterns, values):
         columns.append(bets + (ZERO if value is None else ONE,))
         costs.append(ZERO if value is None else value)
     return columns, (ZERO,) * len(values) + (ONE,), costs
+
+
+# -- the LP route of every Gilio round ------------------------------------------
+
+
+def lp_round(table, subset, ranks):
+    """One round of Gilio's check on rank patterns of a MemberTable
+    subfamily by hull_zero_mass_ints on its whole hull, as
+    MemberTable.subfamily_hull ran every round before the subfamilies
+    assessed at the top or bottom of their levels had a closed form."""
+    voids = [len(table.members[i]) for i in subset]
+    effective = [[k for k, (r, v) in enumerate(zip(pattern, voids)) if r != v] for pattern in ranks]
+    return hull_zero_mass_ints(table.int_hull(subset, ranks), effective)
+
+
+def lp_coherent(table):
+    """Gilio's check on every pattern of a MemberTable, each round by
+    lp_round."""
+    subset = tuple(range(len(table.members)))
+    while subset:
+        outcome = lp_round(table, subset, table.rank_patterns(subset))
+        if isinstance(outcome, HullOutside):
+            return False
+        subset = tuple(subset[k] for k in outcome.zero_mass)
+    return True
+
+
+def p_entails_lp(problem):
+    """cohkit.compound.p_entails with each coherence check by
+    lp_coherent: the premises at 1 with the target at 1 coherent, and
+    with the target at 0 not."""
+    table = problem.table
+
+    def coherent_at(t):
+        return lp_coherent(table.revalued(table.values[:-1] + [t]))
+
+    return coherent_at(ONE) and not coherent_at(ZERO)
+
+
+def check_round_against_lp(table, subset, ranks, outcome):
+    """Holds a round outcome of table.subfamily_hull to lp_round: the
+    same status and zero-mass set.  The witnesses, which may differ, are
+    checked on the decoded rational points: weights >= 0 summing to 1
+    that recompose the values; a certificate (y, y0) with y.p + y0 = 0
+    and y.q + y0 at least the number of zero-mass members counting q;
+    a separator s of largest |s_k| 1 with s.(q - p) > 0 everywhere, its
+    least value the margin."""
+    expected = lp_round(table, subset, ranks)
+    assert outcome.status == expected.status
+    lookup = dict(zip(table.rank_patterns(subset), table.patterns(subset)))
+    patterns = [lookup[pattern] for pattern in ranks]
+    points = table.hull_rows(subset, patterns)
+    p = [table.values[i] for i in subset]
+    if isinstance(outcome, HullOutside):
+        s = outcome.separator
+        assert max(abs(v) for v in s) == 1
+        gains = [_dot(s, q) - _dot(s, p) for q in points]
+        assert min(gains) > 0 and min(gains) == outcome.margin
+        return
+    assert outcome.zero_mass == expected.zero_mass
+    weights = outcome.weights
+    assert len(weights) == len(points) and all(w >= 0 for w in weights)
+    assert sum(weights, ZERO) == 1
+    for k in range(len(p)):
+        assert sum((w * q[k] for w, q in zip(weights, points)), ZERO) == p[k]
+    if not outcome.zero_mass:
+        assert outcome.certificate is None
+        return
+    y, y0 = outcome.certificate
+    assert _dot(y, p) + y0 == 0
+    for pattern, q in zip(patterns, points):
+        counted = sum(1 for k in outcome.zero_mass if pattern[k] is not None)
+        assert _dot(y, q) + y0 >= counted
 
 
 def _dot(u, v):

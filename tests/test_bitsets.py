@@ -19,12 +19,13 @@ from cohkit.events import (
     Or,
     TOP,
     Universe,
+    _cube_atom_sets,
 )
 from cohkit.rationals import rat
 from cohkit.trivalent import ConditionalEvent
 
 from oracles import SIG_FALSE, SIG_TRUE, SIG_VOID, compound_world_values, constituent_signatures
-from oracles import expand, formula_bits, subfamily_patterns, world_filter
+from oracles import cube_atom_sets, expand, formula_bits, subfamily_patterns, world_filter
 
 NAMES = ("A", "B", "C", "D", "E", "F")
 
@@ -115,3 +116,8 @@ def test_patterns_follow_the_value_order():
         for size in range(len(members) + 1):
             for subset in itertools.combinations(range(len(members)), size):
                 assert list(table.patterns(subset)) == subfamily_patterns(members, subset)
+
+
+def test_cube_doubling_matches_the_repunit_builder():
+    for k in range(17):
+        assert _cube_atom_sets(k) == cube_atom_sets(k), k

@@ -10,6 +10,7 @@ import cohkit.cli
 import cohkit.coherence
 import cohkit.compound
 import cohkit.events
+import cohkit.lp
 import cohkit.tables
 from cohkit.cli import main
 from cohkit.rationals import rat
@@ -225,6 +226,22 @@ def test_entails_and_rule_on_twelve_premises(monkeypatch):
     assert report.get("p-entails") is True
     assert report.get("characterizations-agree") is True
     assert max(widths) <= 13
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.coh")), ids=lambda path: path.name)
+def test_entails_runs_no_simplex(monkeypatch, path):
+    # the premises at 1 and the target at 0 or 1: every round of every
+    # check has its closed form, so no LP runs
+    calls = []
+    original = cohkit.lp.run_simplex
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cohkit.lp, "run_simplex", counted)
+    run_captured(["entails", str(path)])
+    assert len(calls) == 0
 
 
 def test_interval_tables_check_each_base_once(coherence_checks):

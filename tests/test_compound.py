@@ -38,6 +38,7 @@ from cohkit.rationals import ONE, ZERO, rat
 from cohkit.trivalent import ConditionalEvent, free_universe, negate
 
 from oracles import absorption_joint_oracle, compound_world_forms, expand, world_signatures
+from oracles import lp_coherent, p_entails_lp
 
 A, B, H, K, E = Atom("A"), Atom("B"), Atom("H"), Atom("K"), Atom("E")
 AH = ConditionalEvent(A, H)
@@ -521,6 +522,23 @@ def test_absorption_matches_the_joint_system_oracle():
     # every premise count, and each coherent target set: {1}, {0}, [0, 1]
     assert {n for n, _zero, _one in seen} == {1, 2, 3, 4, 5}
     assert {(zero, one) for _n, zero, one in seen} == {(False, True), (True, False), (True, True)}
+
+
+def test_p_entails_matches_the_lp_route():
+    """p-entailment, whose rounds all have a closed form (the premises
+    at 1, the target at 0 or 1), agrees with the route that solves each
+    round as a hull LP, on the families of
+    test_absorption_matches_the_joint_system_oracle."""
+    rng = random.Random(20231107)
+    answers = set()
+    for _ in range(150):
+        u, family, target = _entailment_case(rng)
+        problem = entailment_problem(unit_verdict(family, u), target)
+        assert lp_coherent(problem.verdict._table), family
+        answer = p_entails(problem)
+        assert answer == p_entails_lp(problem), (family, target)
+        answers.add(answer)
+    assert answers == {False, True}
 
 
 def test_identity_checks():

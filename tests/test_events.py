@@ -228,3 +228,23 @@ def test_enumeration_is_deterministic():
     fam = [ConditionalEvent(A, H), ConditionalEvent(B, K)]
     assert signatures(fam, u) == signatures(fam, u)
     assert world_signatures(fam, u) == world_signatures(fam, u)
+
+
+def test_equal_formulas_built_apart_hash_equal():
+    text = "(A & ~B | H) & ~(K | A & B)"
+    built = (A & ~B | H) & ~(K | A & B)
+    parsed = parse_formula(text)
+    assert parsed == built and parsed is not built
+    assert hash(parsed) == hash(built)
+    # each node reads its hash from its fields, so connectives differ
+    assert hash(And(A, B)) != hash(Or(A, B))
+    assert {parsed: 1}[built] == 1
+
+
+def test_hash_is_stored_at_construction():
+    # a chain far deeper than the recursion limit hashes in one step,
+    # as no lookup walks the subtree again
+    deep, twin = A, A
+    for _ in range(5000):
+        deep, twin = Not(deep), Not(twin)
+    assert hash(deep) == hash(twin)

@@ -30,7 +30,7 @@ from cohkit.rationals import ONE, ZERO, rat
 from cohkit.tables import OPERATORS, build_target
 from cohkit.trivalent import ConditionalEvent
 
-from oracles import rational_range, target_program
+from oracles import check_round_against_lp, rational_range, target_program
 
 DATA = Path(__file__).parent / "data"
 GRID = (ZERO, ONE, rat(1, 2), rat(1, 3), rat(3, 4))
@@ -121,18 +121,27 @@ def _decoded(table, subset, ranks):
 def compared(monkeypatch):
     """Hold every subfamily_hull and every extension range the engine
     computes to the int cores on the table's decoded rational patterns,
-    converted once with integer_row; counts them."""
-    seen = {"hulls": 0, "ranges": 0}
+    converted once with integer_row; counts them.  A round whose members
+    are all assessed at the top or bottom of their levels is decided in
+    closed form, with witnesses of its own: it is held to the LP on the
+    same query by status and zero-mass set, and its witnesses are
+    checked (oracles.check_round_against_lp).  Every other round must
+    equal the LP's outcome exactly."""
+    seen = {"hulls": 0, "ranges": 0, "closed form": 0}
     hull = MemberTable.subfamily_hull
     program = coherence._target_program
 
     def checked_hull(table, subset, ranks):
         outcome = hull(table, subset, ranks)
-        patterns = _decoded(table, subset, ranks)
-        effective = [[k for k, e in enumerate(p) if e is not None] for p in patterns]
-        values = [table.values[i] for i in subset]
-        query = lp._hull_input(table.hull_rows(subset, patterns), values)
-        assert outcome == lp.hull_zero_mass_ints(query, effective)
+        if table._extreme_signs(subset) is not None:
+            check_round_against_lp(table, subset, ranks, outcome)
+            seen["closed form"] += 1
+        else:
+            patterns = _decoded(table, subset, ranks)
+            effective = [[k for k, e in enumerate(p) if e is not None] for p in patterns]
+            values = [table.values[i] for i in subset]
+            query = lp._hull_input(table.hull_rows(subset, patterns), values)
+            assert outcome == lp.hull_zero_mass_ints(query, effective)
         seen["hulls"] += 1
         return outcome
 
@@ -172,6 +181,7 @@ def test_table_route_matches_rational_front_doors(compared):
             drawn["deep extension"] += len(bounds.rounds) > 1
     assert min(drawn.values()) >= 3, drawn
     assert compared["hulls"] > FAMILIES and compared["ranges"] > FAMILIES, compared
+    assert compared["closed form"] >= 3, compared
 
 
 # -- work counts -------------------------------------------------------------------
